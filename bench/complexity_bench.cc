@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/strings.h"
+#include "common/thread_pool.h"
 #include "embed/hashed_encoder.h"
 #include "linalg/pca.h"
 #include "linalg/svd.h"
@@ -153,15 +154,16 @@ BENCHMARK(BM_GlobalScoping_Pca)->Arg(2)->Arg(4)->Arg(8)
 
 // --- Collaborative scoping (sum of per-schema quadratics) --------------------------
 
-void BM_FitLocalModelsParallel(benchmark::State& state) {
+void BM_FitLocalModelsOnPool(benchmark::State& state) {
   const size_t num_schemas = state.range(0);
   const auto sig = SyntheticSignatures(num_schemas, 48);
+  ThreadPool pool;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        scoping::FitLocalModelsParallel(sig, num_schemas, 0.8));
+        scoping::FitLocalModelsOnPool(sig, num_schemas, 0.8, pool));
   }
 }
-BENCHMARK(BM_FitLocalModelsParallel)->Arg(4)->Arg(8)
+BENCHMARK(BM_FitLocalModelsOnPool)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 void BM_CollaborativeScoping(benchmark::State& state) {

@@ -23,11 +23,6 @@ constexpr char kModelSetDomain[] = "colscope-model-set-fingerprint v1";
 constexpr char kSigBlockHeader[] = "colscope-sig-block v1";
 constexpr char kSimBlockHeader[] = "colscope-sim-block v1";
 
-bool IsInterrupt(const Status& status) {
-  return status.code() == StatusCode::kCancelled ||
-         status.code() == StatusCode::kDeadlineExceeded;
-}
-
 /// Parses "<key> <n>" with the shared strict-size discipline.
 bool ExpectSizeLine(std::istream& in, std::string_view key, size_t& out) {
   std::string line;
@@ -270,9 +265,7 @@ Result<scoping::SignatureSet> PipelineCache::BuildSignatures(
 
     const CacheKey key = SigKey(s);
     Result<std::string> payload = cache_->Get(key);
-    if (!payload.ok() && IsInterrupt(payload.status())) {
-      return payload.status();
-    }
+    if (payload.status().interrupted()) return payload.status();
     if (payload.ok()) {
       if (std::optional<linalg::Matrix> block =
               ParseSigBlock(*payload, rows, dims)) {
@@ -298,7 +291,7 @@ Result<scoping::SignatureSet> PipelineCache::BuildSignatures(
       out.signatures.SetRow(first_row + r, block.Row(r));
     }
     const Status put = cache_->Put(key, SerializeSigBlock(block));
-    if (IsInterrupt(put)) return put;
+    if (put.interrupted()) return put;
     if (!put.ok()) {
       COLSCOPE_LOG(Warn) << "cannot cache signature block for source " << s
                          << ": " << put.ToString();
@@ -320,7 +313,7 @@ Result<std::vector<scoping::LocalModel>> PipelineCache::FitLocalModels(
     Result<std::string> payload =
         cache_->Get(ModelKey(s, explained_variance));
     if (!payload.ok()) {
-      if (IsInterrupt(payload.status())) return payload.status();
+      if (payload.status().interrupted()) return payload.status();
       missing.push_back(s);
       continue;
     }
@@ -345,39 +338,17 @@ Result<std::vector<scoping::LocalModel>> PipelineCache::FitLocalModels(
     slots[s] = std::move(stamped).value();
   }
 
-  // Fit the misses exactly as the uncached phase II would — in parallel
-  // per source when a pool is available.
-  std::vector<Status> statuses(missing.size());
-  const auto fit_one = [&](size_t i) {
-    const size_t s = missing[i];
-    Result<scoping::LocalModel> model = scoping::LocalModel::Fit(
-        signatures.SchemaSignatures(static_cast<int>(s)), explained_variance,
-        static_cast<int>(s));
-    if (model.ok()) {
-      slots[s] = std::move(model).value();
-    } else {
-      statuses[i] = model.status();
-    }
-  };
-  if (pool != nullptr && missing.size() > 1) {
-    const Status pool_status =
-        pool->ParallelFor(missing.size(), fit_one, cancel);
-    if (!pool_status.ok()) return pool_status;
-  } else {
-    for (size_t i = 0; i < missing.size(); ++i) {
-      if (cancel != nullptr && cancel->cancelled()) {
-        return Status::Cancelled("local-model fit cancelled");
-      }
-      fit_one(i);
-    }
-  }
-  for (const Status& status : statuses) {
-    if (!status.ok()) return status;
+  // Fit the misses exactly as the uncached phase II would.
+  Result<std::vector<scoping::LocalModel>> fitted = scoping::FitLocalModelsOf(
+      signatures, missing, explained_variance, pool, cancel);
+  if (!fitted.ok()) return fitted.status();
+  for (size_t i = 0; i < missing.size(); ++i) {
+    slots[missing[i]] = std::move((*fitted)[i]);
   }
   for (size_t s : missing) {
     const Status put = cache_->Put(ModelKey(s, explained_variance),
                                    scoping::SerializeLocalModel(*slots[s]));
-    if (IsInterrupt(put)) return put;
+    if (put.interrupted()) return put;
     if (!put.ok()) {
       COLSCOPE_LOG(Warn) << "cannot cache model for source " << s << ": "
                          << put.ToString();
@@ -403,9 +374,7 @@ Result<std::vector<bool>> PipelineCache::AssessAll(
     const CacheKey key = KeepKey(s, models_fp);
 
     Result<std::string> payload = cache_->Get(key);
-    if (!payload.ok() && IsInterrupt(payload.status())) {
-      return payload.status();
-    }
+    if (payload.status().interrupted()) return payload.status();
     if (payload.ok()) {
       Result<std::vector<bool>> slice =
           scoping::DeserializeKeepMask(*payload);
@@ -421,7 +390,7 @@ Result<std::vector<bool>> PipelineCache::AssessAll(
         signatures.SchemaSignatures(schema), schema, models);
     for (size_t i = 0; i < rows.size(); ++i) keep[rows[i]] = linkable[i];
     const Status put = cache_->Put(key, scoping::SerializeKeepMask(linkable));
-    if (IsInterrupt(put)) return put;
+    if (put.interrupted()) return put;
     if (!put.ok()) {
       COLSCOPE_LOG(Warn) << "cannot cache keep slice for source " << s
                          << ": " << put.ToString();
@@ -451,9 +420,7 @@ Result<std::set<matching::ElementPair>> PipelineCache::Match(
       const CacheKey key =
           SimBlockKey(matcher, a, keep_fps[a], b, keep_fps[b]);
       Result<std::string> payload = cache_->Get(key);
-      if (!payload.ok() && IsInterrupt(payload.status())) {
-        return payload.status();
-      }
+      if (payload.status().interrupted()) return payload.status();
       if (payload.ok()) {
         if (std::optional<std::set<matching::ElementPair>> block =
                 ParseSimBlock(*payload, static_cast<int>(a),
@@ -469,7 +436,7 @@ Result<std::set<matching::ElementPair>> PipelineCache::Match(
       out.insert(block.begin(), block.end());
       const Status put =
           cache_->Put(key, SerializeSimBlock(block, static_cast<int>(a)));
-      if (IsInterrupt(put)) return put;
+      if (put.interrupted()) return put;
       if (!put.ok()) {
         COLSCOPE_LOG(Warn) << "cannot cache similarity block (" << a << ","
                            << b << "): " << put.ToString();

@@ -60,7 +60,7 @@ class PipelineCache {
   /// anyway) and derives the per-source content fingerprints. `cache`,
   /// `encoder`, and `set` are borrowed and must outlive this object.
   /// `semantic_options_fp` fingerprints the pipeline options that change
-  /// artifacts (see pipeline::SemanticOptionsString).
+  /// artifacts (see SemanticOptionsString in pipeline/pipeline.cc).
   PipelineCache(ArtifactCache* cache, const embed::SentenceEncoder* encoder,
                 const schema::SchemaSet& set, uint64_t semantic_options_fp,
                 const schema::SerializeOptions& serialize_options = {});
@@ -74,9 +74,8 @@ class PipelineCache {
                                                 ThreadPool* pool);
 
   /// Phase II with per-source memoization: sources whose model hit are
-  /// restored (re-stamped to their current index); the rest are fitted —
-  /// in parallel on `pool` when non-null — exactly as
-  /// scoping::FitLocalModelsOnPool would.
+  /// restored (re-stamped to their current index); the rest are fitted by
+  /// scoping::FitLocalModelsOf on `pool` (serially when null).
   Result<std::vector<scoping::LocalModel>> FitLocalModels(
       const scoping::SignatureSet& signatures, double explained_variance,
       ThreadPool* pool, const CancellationToken* cancel);

@@ -80,6 +80,12 @@ class Status {
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
+  /// kCancelled or kDeadlineExceeded: a cooperative stop, which callers
+  /// end cleanly rather than treat as a failure.
+  bool interrupted() const {
+    return code_ == StatusCode::kCancelled ||
+           code_ == StatusCode::kDeadlineExceeded;
+  }
   const std::string& message() const { return message_; }
 
   /// "ok" or "<code>: <message>"; intended for logs and test output.

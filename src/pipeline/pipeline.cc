@@ -1,6 +1,9 @@
 #include "pipeline/pipeline.h"
 
+#include <algorithm>
 #include <chrono>
+#include <functional>
+#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -11,11 +14,8 @@
 #include "common/strings.h"
 #include "exchange/transport.h"
 #include "obs/log.h"
-#include "pipeline/checkpoint.h"
 #include "scoping/collaborative.h"
-#include "scoping/model_io.h"
 #include "scoping/scoping.h"
-#include "scoping/signature_io.h"
 #include "scoping/streamline.h"
 
 namespace colscope::pipeline {
@@ -61,6 +61,45 @@ class PhaseTimer {
   double start_us_ = 0.0;
 };
 
+/// Moves a phase's artifact into its PipelineRun slot, or returns the
+/// phase's error.
+template <typename T>
+Status MoveInto(Result<T> result, T& slot) {
+  if (!result.ok()) return result.status();
+  slot = std::move(result).value();
+  return Status::Ok();
+}
+
+/// Canonical rendering of every option that changes a phase artifact;
+/// its fingerprint keys the artifact cache's keep-mask slices (see
+/// cache/pipeline_cache.h). Observability hooks, thread counts, and the
+/// cache path are deliberately excluded: they change what gets recorded
+/// or reused, never what gets computed.
+std::string SemanticOptionsString(const PipelineOptions& options) {
+  std::string opts = StrFormat("scoper=%d ev=%.17g keep=%.17g exchange=%d",
+                               static_cast<int>(options.scoper),
+                               options.explained_variance,
+                               options.keep_portion,
+                               options.exchange.enabled ? 1 : 0);
+  if (options.exchange.enabled) {
+    const FaultProfile& f = options.exchange.faults;
+    const exchange::RetryPolicy& r = options.exchange.retry;
+    opts += StrFormat(
+        " seed=%llu drop=%.17g corrupt=%.17g truncate=%.17g delay=%.17g"
+        " stale=%.17g base_lat=%.17g delay_lat=%.17g"
+        " attempts=%d backoff=%.17g mult=%.17g max_backoff=%.17g"
+        " jitter=%.17g deadline=%.17g policy=%d quorum=%zu",
+        static_cast<unsigned long long>(f.seed), f.drop_probability,
+        f.corrupt_probability, f.truncate_probability, f.delay_probability,
+        f.stale_probability, f.base_latency_ms, f.delay_latency_ms,
+        r.max_attempts, r.initial_backoff_ms, r.backoff_multiplier,
+        r.max_backoff_ms, r.jitter, r.deadline_ms,
+        static_cast<int>(options.exchange.degraded.policy),
+        options.exchange.degraded.quorum);
+  }
+  return opts;
+}
+
 /// Phase III over the simulated faulty transport: publish every fitted
 /// model, fetch peers' models with retry under the run's deadline and
 /// cancellation token, then apply the degradation policy to whatever
@@ -103,6 +142,11 @@ Result<std::vector<bool>> ScopeViaExchange(
 
 }  // namespace
 
+bool IsPipelinePhase(std::string_view name) {
+  return std::find(kPipelinePhases.begin(), kPipelinePhases.end(), name) !=
+         kPipelinePhases.end();
+}
+
 size_t PipelineRun::num_kept() const {
   size_t n = 0;
   for (bool k : keep) n += k;
@@ -125,6 +169,20 @@ Result<PipelineRun> Pipeline::Run(const schema::SchemaSet& set,
       options_.scoper != ScoperKind::kCollaborativePca) {
     return Status::InvalidArgument(
         "model-exchange simulation requires the collaborative pca scoper");
+  }
+  if (options_.scoper == ScoperKind::kGlobalScoping) {
+    if (options_.detector == nullptr) {
+      return Status::InvalidArgument(
+          "global scoping requires PipelineOptions::detector");
+    }
+    if (options_.keep_portion < 0.0 || options_.keep_portion > 1.0) {
+      return Status::InvalidArgument("keep portion must be in [0, 1]");
+    }
+  }
+  if (!options_.crash_after_phase.empty() &&
+      !IsPipelinePhase(options_.crash_after_phase)) {
+    return Status::InvalidArgument("unknown crash_after_phase: " +
+                                   options_.crash_after_phase);
   }
   PipelineRun run;
   obs::ScopedSpan run_span(options_.tracer, "pipeline.run");
@@ -149,12 +207,6 @@ Result<PipelineRun> Pipeline::Run(const schema::SchemaSet& set,
     RunClock* clock =
         options_.clock != nullptr ? options_.clock : &fallback_clock;
     deadline = Deadline::After(clock, options_.deadline_ms);
-  }
-
-  std::optional<CheckpointStore> store;
-  if (!options_.checkpoint_dir.empty()) {
-    store.emplace(options_.checkpoint_dir,
-                  ComputeRunFingerprint(set, options_), options_.metrics);
   }
 
   // Content-addressed artifact cache: either borrowed from the caller
@@ -186,353 +238,185 @@ Result<PipelineRun> Pipeline::Run(const schema::SchemaSet& set,
                  Fnv1a64(SemanticOptionsString(options_)));
   }
 
-  /// Non-OK when the run should stop at this phase boundary.
-  const auto interrupted = [&]() -> Status {
-    if (options_.cancel != nullptr && options_.cancel->cancelled()) {
-      if (options_.metrics != nullptr) {
-        options_.metrics->GetCounter("pipeline.cancelled").Increment();
+  /// A phase artifact from the cache when `use_cache`, else computed. An
+  /// interrupted lookup ends the phase with its status; any other cache
+  /// failure warns and falls back to `compute`.
+  const auto cached_or_computed = [](bool use_cache, const char* artifact,
+                                     auto&& lookup, auto&& compute)
+      -> decltype(lookup()) {
+    if (use_cache) {
+      auto cached = lookup();
+      if (cached.ok() || cached.status().interrupted()) return cached;
+      COLSCOPE_LOG(Warn) << "cached " << artifact
+                         << " failed: " << cached.status().ToString()
+                         << "; recomputing";
+    }
+    return compute();
+  };
+
+  /// Phase III for the configured scoper.
+  const auto assess = [&]() -> Result<std::vector<bool>> {
+    switch (options_.scoper) {
+      case ScoperKind::kNone:
+        return std::vector<bool>(run.signatures.size(), true);
+      case ScoperKind::kCollaborativePca: {
+        if (options_.exchange.enabled) {
+          // Exchange runs never cache the keep mask: phase III replays
+          // over the faulty transport so the degradation report reflects
+          // this run.
+          return ScopeViaExchange(run.signatures, set.num_schemas(),
+                                  run.local_models, options_,
+                                  options_.cancel, deadline, run);
+        }
+        obs::ScopedSpan span(options_.tracer, "pipeline.assess");
+        return cached_or_computed(
+            memo.has_value(), "keep mask",
+            [&] { return memo->AssessAll(run.signatures, run.local_models); },
+            [&] {
+              return scoping::AssessAll(run.signatures, set.num_schemas(),
+                                        run.local_models);
+            });
       }
+      case ScoperKind::kCollaborativeNeural: {
+        obs::ScopedSpan span(options_.tracer, "pipeline.assess");
+        return scoping::CollaborativeScopingNeural(
+            run.signatures, set.num_schemas(), options_.neural);
+      }
+      case ScoperKind::kGlobalScoping: {
+        obs::ScopedSpan span(options_.tracer, "pipeline.assess");
+        return scoping::GlobalScoping(run.signatures, *options_.detector,
+                                      options_.keep_portion);
+      }
+    }
+    return Status::Internal("unknown scoper");
+  };
+
+  /// One row of the phase table, in kPipelinePhases order. A cancelled or
+  /// expired run stops at the boundary after each stop-point phase; the
+  /// cheap tail after phase III runs to completion once reached.
+  struct Phase {
+    const char* name;
+    bool runs;
+    bool stop_point;
+    std::function<Status()> body;
+  };
+  const Phase phases[] = {
+      {"signatures", true, true,
+       [&] {
+         return MoveInto(
+             cached_or_computed(
+                 memo.has_value(), "signatures",
+                 [&] { return memo->BuildSignatures(options_.tracer, pool); },
+                 [&] {
+                   return scoping::BuildSignatures(set, *encoder_, {},
+                                                   options_.tracer, pool);
+                 }),
+             run.signatures);
+       }},
+      {"local_models", options_.scoper == ScoperKind::kCollaborativePca, true,
+       [&] {
+         obs::ScopedSpan span(options_.tracer, "pipeline.fit_local_models");
+         span.AddArg("schemas", static_cast<long long>(set.num_schemas()));
+         std::vector<size_t> schemas(set.num_schemas());
+         std::iota(schemas.begin(), schemas.end(), size_t{0});
+         return MoveInto(
+             cached_or_computed(
+                 memo.has_value(), "local models",
+                 [&] {
+                   return memo->FitLocalModels(run.signatures,
+                                               options_.explained_variance,
+                                               pool, options_.cancel);
+                 },
+                 [&] {
+                   return scoping::FitLocalModelsOf(
+                       run.signatures, schemas, options_.explained_variance,
+                       pool, options_.cancel);
+                 }),
+             run.local_models);
+       }},
+      {"keep_mask", true, true, [&] { return MoveInto(assess(), run.keep); }},
+      {"streamline", true, false,
+       [&] {
+         obs::ScopedSpan span(options_.tracer, "pipeline.streamline");
+         run.streamlined =
+             scoping::BuildStreamlinedSchemas(set, run.signatures, run.keep);
+         span.AddArg("kept", static_cast<long long>(run.num_kept()));
+         return Status::Ok();
+       }},
+      {"match", true, false,
+       [&] {
+         obs::ScopedSpan span(options_.tracer, "pipeline.match");
+         // Per-source-pair similarity blocks: only blocks touching a dirty
+         // source (or a changed keep slice) recompute on a warm run.
+         COLSCOPE_RETURN_IF_ERROR(MoveInto(
+             cached_or_computed(
+                 memo.has_value() && !matcher.BlockCacheId().empty(),
+                 "match",
+                 [&] { return memo->Match(run.signatures, run.keep, matcher); },
+                 [&] { return matcher.Match(run.signatures, run.keep); }),
+             run.linkages));
+         span.AddArg("linkages", static_cast<long long>(run.linkages.size()));
+         return Status::Ok();
+       }},
+      {"evaluate", truth != nullptr, false,
+       [&] {
+         obs::ScopedSpan span(options_.tracer, "pipeline.evaluate");
+         run.quality = eval::EvaluateMatching(
+             run.linkages, *truth,
+             set.TableCartesianSize() + set.AttributeCartesianSize());
+         return Status::Ok();
+       }},
+  };
+
+  /// Times one phase into pipeline.<phase>_ms, records it as completed,
+  /// then applies the crash_after_phase hook and, at stop points, the
+  /// cancellation/deadline check.
+  const auto run_phase = [&](const Phase& phase) -> Status {
+    {
+      PhaseTimer timer(options_.metrics, options_.tracer, phase.name);
+      COLSCOPE_RETURN_IF_ERROR(phase.body());
+    }
+    run.phases_completed.push_back(phase.name);
+    if (options_.crash_after_phase == phase.name) {
+      return Status::Internal(
+          StrFormat("injected crash after phase %s", phase.name));
+    }
+    if (!phase.stop_point) return Status::Ok();
+    if (options_.cancel != nullptr && options_.cancel->cancelled()) {
       return Status::Cancelled("pipeline run cancelled");
     }
     if (deadline.expired()) {
-      if (options_.metrics != nullptr) {
-        options_.metrics->GetCounter("pipeline.deadline_exceeded")
-            .Increment();
-      }
-      return Status::DeadlineExceeded(StrFormat(
-          "pipeline run exceeded its %.17g ms deadline",
-          options_.deadline_ms));
+      return Status::DeadlineExceeded(
+          StrFormat("pipeline run exceeded its %.17g ms deadline",
+                    options_.deadline_ms));
     }
     return Status::Ok();
   };
 
-  /// Ends the run early but cleanly: completed phases' artifacts stay in
-  /// `run`, the stop reason lands in run.status, and the metrics
-  /// snapshot still happens so the partial report doubles as a profile.
-  const auto finish_partial = [&](Status why) -> PipelineRun {
-    COLSCOPE_LOG(Warn) << "pipeline run stopped early: " << why.ToString()
+  for (const Phase& phase : phases) {
+    if (!phase.runs) continue;
+    Status status = run_phase(phase);
+    if (status.ok()) continue;
+    if (!status.interrupted()) return status;
+    // Cancelled or out of time: end the run early but cleanly. Completed
+    // phases' artifacts stay in `run`, the stop reason lands in
+    // run.status, and the metrics snapshot still happens so the partial
+    // report doubles as a profile.
+    if (options_.metrics != nullptr) {
+      options_.metrics
+          ->GetCounter(status.code() == StatusCode::kCancelled
+                           ? "pipeline.cancelled"
+                           : "pipeline.deadline_exceeded")
+          .Increment();
+    }
+    COLSCOPE_LOG(Warn) << "pipeline run stopped early: " << status.ToString()
                        << " (completed " << run.phases_completed.size()
                        << " phases)";
-    run.status = std::move(why);
+    run.status = std::move(status);
     if (options_.metrics != nullptr) {
       run.metrics = options_.metrics->Snapshot();
     }
-    return std::move(run);
-  };
-
-  /// Loads the payload of `phase` when resuming; nullopt (and a warning
-  /// for anything but a clean miss) means recompute.
-  const auto try_load = [&](CheckpointPhase phase)
-      -> std::optional<std::string> {
-    if (!options_.resume || !store.has_value()) return std::nullopt;
-    Result<std::string> payload = store->Load(phase);
-    if (!payload.ok()) {
-      if (payload.status().code() != StatusCode::kNotFound) {
-        COLSCOPE_LOG(Warn)
-            << "cannot resume phase " << CheckpointPhaseToString(phase)
-            << ": " << payload.status().ToString() << "; recomputing";
-      }
-      return std::nullopt;
-    }
-    return std::move(payload).value();
-  };
-
-  const auto mark_resumed = [&](CheckpointPhase phase) {
-    ++run.phases_resumed;
-    if (options_.metrics != nullptr) {
-      options_.metrics->GetCounter("pipeline.phases_resumed").Increment();
-    }
-    COLSCOPE_LOG(Info) << "resumed phase " << CheckpointPhaseToString(phase)
-                       << " from checkpoint in " << store->dir();
-  };
-
-  /// Persists a completed phase. Failures degrade to a warning — a run
-  /// that cannot checkpoint should still finish.
-  const auto maybe_write = [&](CheckpointPhase phase,
-                               const std::string& payload) {
-    if (!store.has_value()) return;
-    const Status written = store->Write(phase, payload);
-    if (!written.ok()) {
-      COLSCOPE_LOG(Warn) << "checkpoint write failed: "
-                         << written.ToString();
-    }
-  };
-
-  /// The crash_after_phase test hook: fail exactly where a real crash
-  /// would be nastiest — after the phase committed its checkpoint.
-  const auto maybe_crash = [&](const char* phase) -> Status {
-    if (options_.crash_after_phase == phase) {
-      return Status::Internal(
-          StrFormat("injected crash after phase %s", phase));
-    }
-    return Status::Ok();
-  };
-
-  // Phase I: signatures. Cancellation stays a phase-boundary affair
-  // here: the encode runs to completion (its pool tasks write disjoint
-  // rows), so the checkpoint below never sees a partial matrix.
-  {
-    PhaseTimer timer(options_.metrics, options_.tracer, "signatures");
-    bool resumed = false;
-    if (std::optional<std::string> payload =
-            try_load(CheckpointPhase::kSignatures)) {
-      Result<scoping::SignatureSet> sigs =
-          scoping::DeserializeSignatureSet(*payload);
-      if (sigs.ok()) {
-        run.signatures = std::move(sigs).value();
-        mark_resumed(CheckpointPhase::kSignatures);
-        resumed = true;
-      } else {
-        COLSCOPE_LOG(Warn) << "signature checkpoint did not deserialize: "
-                           << sigs.status().ToString() << "; recomputing";
-      }
-    }
-    if (!resumed) {
-      bool built = false;
-      if (memo.has_value()) {
-        Result<scoping::SignatureSet> sigs =
-            memo->BuildSignatures(options_.tracer, pool);
-        if (sigs.ok()) {
-          run.signatures = std::move(sigs).value();
-          built = true;
-        } else {
-          // Cancelled/DeadlineExceeded mid-lookup stops the run cleanly;
-          // anything else falls through to the uncached build.
-          if (Status stop = interrupted(); !stop.ok()) {
-            return finish_partial(std::move(stop));
-          }
-          COLSCOPE_LOG(Warn) << "cached signature build failed: "
-                             << sigs.status().ToString() << "; recomputing";
-        }
-      }
-      if (!built) {
-        run.signatures = scoping::BuildSignatures(set, *encoder_, {},
-                                                  options_.tracer, pool);
-      }
-      maybe_write(CheckpointPhase::kSignatures,
-                  scoping::SerializeSignatureSet(run.signatures));
-    }
-  }
-  run.phases_completed.push_back("signatures");
-  COLSCOPE_RETURN_IF_ERROR(maybe_crash("signatures"));
-  if (Status stop = interrupted(); !stop.ok()) {
-    return finish_partial(std::move(stop));
-  }
-
-  switch (options_.scoper) {
-    case ScoperKind::kNone:
-      run.keep.assign(run.signatures.size(), true);
-      break;
-    case ScoperKind::kCollaborativePca: {
-      // Phase II: fit (or restore) the per-schema local models.
-      std::vector<scoping::LocalModel> models;
-      {
-        PhaseTimer fit_timer(options_.metrics, options_.tracer,
-                             "local_models");
-        bool models_resumed = false;
-        if (std::optional<std::string> payload =
-                try_load(CheckpointPhase::kLocalModels)) {
-          Result<std::vector<scoping::LocalModel>> loaded =
-              scoping::DeserializeLocalModelSet(*payload);
-          if (loaded.ok() && loaded->size() == set.num_schemas()) {
-            models = std::move(loaded).value();
-            mark_resumed(CheckpointPhase::kLocalModels);
-            models_resumed = true;
-          } else {
-            COLSCOPE_LOG(Warn)
-                << "local-model checkpoint did not deserialize: "
-                << (loaded.ok() ? "schema count mismatch"
-                                : loaded.status().ToString())
-                << "; recomputing";
-          }
-        }
-        if (!models_resumed) {
-          Result<std::vector<scoping::LocalModel>> fitted =
-              [&]() -> Result<std::vector<scoping::LocalModel>> {
-            obs::ScopedSpan span(options_.tracer, "pipeline.fit_local_models");
-            span.AddArg("schemas", static_cast<long long>(set.num_schemas()));
-            if (memo.has_value()) {
-              return memo->FitLocalModels(run.signatures,
-                                          options_.explained_variance, pool,
-                                          options_.cancel);
-            }
-            if (pool != nullptr) {
-              // One fit task per schema on the shared pool. A cancel that
-              // trips mid-fit surfaces as a Cancelled status handled below.
-              return scoping::FitLocalModelsOnPool(
-                  run.signatures, set.num_schemas(),
-                  options_.explained_variance, *pool, options_.cancel);
-            }
-            return scoping::FitLocalModels(run.signatures, set.num_schemas(),
-                                           options_.explained_variance);
-          }();
-          if (!fitted.ok()) {
-            if (fitted.status().code() == StatusCode::kCancelled) {
-              if (options_.metrics != nullptr) {
-                options_.metrics->GetCounter("pipeline.cancelled").Increment();
-              }
-              return finish_partial(fitted.status());
-            }
-            if (fitted.status().code() == StatusCode::kDeadlineExceeded) {
-              if (options_.metrics != nullptr) {
-                options_.metrics->GetCounter("pipeline.deadline_exceeded")
-                    .Increment();
-              }
-              return finish_partial(fitted.status());
-            }
-            return fitted.status();
-          }
-          models = std::move(fitted).value();
-          maybe_write(CheckpointPhase::kLocalModels,
-                      scoping::SerializeLocalModelSet(models));
-        }
-      }  // fit_timer scope
-      run.phases_completed.push_back("local_models");
-      COLSCOPE_RETURN_IF_ERROR(maybe_crash("local_models"));
-      if (Status stop = interrupted(); !stop.ok()) {
-        return finish_partial(std::move(stop));
-      }
-
-      // Phase III: assess linkability, over the faulty transport when
-      // exchange simulation is on. The keep-mask checkpoint is only
-      // trusted for fault-free runs: an exchange run replays phase III
-      // from the (restored) models so the degradation report is
-      // regenerated rather than lost.
-      PhaseTimer assess_timer(options_.metrics, options_.tracer,
-                              "keep_mask");
-      bool keep_resumed = false;
-      if (!options_.exchange.enabled) {
-        if (std::optional<std::string> payload =
-                try_load(CheckpointPhase::kKeepMask)) {
-          Result<std::vector<bool>> mask =
-              scoping::DeserializeKeepMask(*payload);
-          if (mask.ok() && mask->size() == run.signatures.size()) {
-            run.keep = std::move(mask).value();
-            mark_resumed(CheckpointPhase::kKeepMask);
-            keep_resumed = true;
-          } else {
-            COLSCOPE_LOG(Warn)
-                << "keep-mask checkpoint did not deserialize: "
-                << (mask.ok() ? "element count mismatch"
-                              : mask.status().ToString())
-                << "; recomputing";
-          }
-        }
-      }
-      if (!keep_resumed) {
-        Result<std::vector<bool>> keep =
-            [&]() -> Result<std::vector<bool>> {
-          if (options_.exchange.enabled) {
-            // Exchange runs never cache the keep mask — phase III must
-            // replay over the faulty transport so the degradation report
-            // reflects this run, mirroring the checkpoint policy above.
-            return ScopeViaExchange(run.signatures, set.num_schemas(),
-                                    models, options_, options_.cancel,
-                                    deadline, run);
-          }
-          obs::ScopedSpan span(options_.tracer, "pipeline.assess");
-          if (memo.has_value()) {
-            return memo->AssessAll(run.signatures, models);
-          }
-          return scoping::AssessAll(run.signatures, set.num_schemas(),
-                                    models);
-        }();
-        if (!keep.ok()) {
-          // Only the cached lookup path stops cooperatively here; the
-          // exchange path keeps its own error semantics untouched.
-          if (!options_.exchange.enabled &&
-              (keep.status().code() == StatusCode::kCancelled ||
-               keep.status().code() == StatusCode::kDeadlineExceeded)) {
-            if (options_.metrics != nullptr) {
-              options_.metrics
-                  ->GetCounter(keep.status().code() == StatusCode::kCancelled
-                                   ? "pipeline.cancelled"
-                                   : "pipeline.deadline_exceeded")
-                  .Increment();
-            }
-            return finish_partial(keep.status());
-          }
-          return keep.status();
-        }
-        run.keep = std::move(keep).value();
-        maybe_write(CheckpointPhase::kKeepMask,
-                    scoping::SerializeKeepMask(run.keep));
-      }
-      break;
-    }
-    case ScoperKind::kCollaborativeNeural: {
-      PhaseTimer assess_timer(options_.metrics, options_.tracer,
-                              "keep_mask");
-      obs::ScopedSpan span(options_.tracer, "pipeline.assess");
-      Result<std::vector<bool>> keep = scoping::CollaborativeScopingNeural(
-          run.signatures, set.num_schemas(), options_.neural);
-      if (!keep.ok()) return keep.status();
-      run.keep = std::move(keep).value();
-      break;
-    }
-    case ScoperKind::kGlobalScoping: {
-      if (options_.detector == nullptr) {
-        return Status::InvalidArgument(
-            "global scoping requires PipelineOptions::detector");
-      }
-      if (options_.keep_portion < 0.0 || options_.keep_portion > 1.0) {
-        return Status::InvalidArgument("keep portion must be in [0, 1]");
-      }
-      PhaseTimer assess_timer(options_.metrics, options_.tracer,
-                              "keep_mask");
-      obs::ScopedSpan span(options_.tracer, "pipeline.assess");
-      run.keep = scoping::GlobalScoping(run.signatures, *options_.detector,
-                                        options_.keep_portion);
-      break;
-    }
-  }
-  run.phases_completed.push_back("keep_mask");
-  COLSCOPE_RETURN_IF_ERROR(maybe_crash("keep_mask"));
-  if (Status stop = interrupted(); !stop.ok()) {
-    return finish_partial(std::move(stop));
-  }
-
-  {
-    PhaseTimer timer(options_.metrics, options_.tracer, "streamline");
-    obs::ScopedSpan span(options_.tracer, "pipeline.streamline");
-    run.streamlined =
-        scoping::BuildStreamlinedSchemas(set, run.signatures, run.keep);
-    span.AddArg("kept", static_cast<long long>(run.num_kept()));
-  }
-  run.phases_completed.push_back("streamline");
-  {
-    PhaseTimer timer(options_.metrics, options_.tracer, "match");
-    obs::ScopedSpan span(options_.tracer, "pipeline.match");
-    bool matched = false;
-    if (memo.has_value() && !matcher.BlockCacheId().empty()) {
-      // Per-source-pair similarity blocks: only blocks touching a dirty
-      // source (or a changed keep slice) recompute on a warm run.
-      Result<std::set<matching::ElementPair>> linked =
-          memo->Match(run.signatures, run.keep, matcher);
-      if (linked.ok()) {
-        run.linkages = std::move(linked).value();
-        matched = true;
-      } else {
-        if (Status stop = interrupted(); !stop.ok()) {
-          return finish_partial(std::move(stop));
-        }
-        COLSCOPE_LOG(Warn) << "cached match failed: "
-                           << linked.status().ToString() << "; rematching";
-      }
-    }
-    if (!matched) {
-      run.linkages = matcher.Match(run.signatures, run.keep);
-    }
-    span.AddArg("linkages", static_cast<long long>(run.linkages.size()));
-  }
-  run.phases_completed.push_back("match");
-  if (truth != nullptr) {
-    PhaseTimer timer(options_.metrics, options_.tracer, "evaluate");
-    obs::ScopedSpan span(options_.tracer, "pipeline.evaluate");
-    run.quality = eval::EvaluateMatching(
-        run.linkages, *truth,
-        set.TableCartesianSize() + set.AttributeCartesianSize());
-    run.phases_completed.push_back("evaluate");
+    return run;
   }
 
   run_span.AddArg("elements", static_cast<long long>(run.keep.size()));

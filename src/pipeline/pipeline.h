@@ -1,8 +1,11 @@
 #ifndef COLSCOPE_PIPELINE_PIPELINE_H_
 #define COLSCOPE_PIPELINE_PIPELINE_H_
 
+#include <array>
 #include <optional>
 #include <set>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -27,6 +30,16 @@ class ArtifactCache;
 }  // namespace colscope::cache
 
 namespace colscope::pipeline {
+
+/// The phases of Pipeline::Run, in execution order. local_models runs
+/// only under kCollaborativePca and evaluate only with ground truth; each
+/// phase that runs records a "pipeline.<phase>_ms" latency histogram.
+inline constexpr std::array<const char*, 6> kPipelinePhases = {
+    "signatures", "local_models", "keep_mask",
+    "streamline", "match",        "evaluate"};
+
+/// True iff `name` is one of kPipelinePhases.
+bool IsPipelinePhase(std::string_view name);
 
 /// Which pre-processing scoper the pipeline applies before matching.
 enum class ScoperKind {
@@ -90,32 +103,21 @@ struct PipelineOptions {
   /// with PipelineRun::status = kCancelled. Borrowed; null means not
   /// cancellable.
   const CancellationToken* cancel = nullptr;
-  /// When non-empty, each expensive phase's artifact (signatures, local
-  /// models, keep mask) is checkpointed to this directory as it
-  /// completes, atomically and checksummed — see pipeline/checkpoint.h.
-  std::string checkpoint_dir;
-  /// When true (and checkpoint_dir is set), valid same-fingerprint
-  /// checkpoints are loaded instead of recomputed. Corrupt, stale, or
-  /// missing checkpoints silently fall back to recomputation; resuming
-  /// is an optimization, never a correctness risk. The keep mask is
-  /// only trusted for non-exchange runs — exchange runs replay phase
-  /// III so the degradation report is regenerated faithfully.
-  bool resume = false;
-  /// Test hook: after the named phase ("signatures", "local_models",
-  /// "keep_mask") completes and its checkpoint is written, abort the
-  /// run with an Internal error — simulating a crash at the worst
-  /// moment a real one could happen.
+  /// Test hook: after the named phase (one of kPipelinePhases) completes,
+  /// abort the run with an Internal error — simulating a crash after the
+  /// phase's artifacts reached the cache. Run rejects any other non-empty
+  /// name with InvalidArgument.
   std::string crash_after_phase;
   /// When non-empty, a content-addressed artifact cache at this
   /// directory memoizes per-source signatures, local models, keep-mask
   /// slices, and per-source-pair similarity blocks (see
   /// cache/pipeline_cache.h). A warm re-run after editing one source
   /// recomputes only that source's artifacts plus the similarity blocks
-  /// that touch it, and produces a byte-identical report. Unlike
-  /// checkpoints (which fingerprint the whole run), cache entries are
+  /// that touch it, and produces a byte-identical report. Entries are
   /// keyed per source, so the cache survives — and exploits — partial
-  /// schema deltas. A cache that cannot be opened disables itself with a
-  /// warning; it is never a correctness risk.
+  /// schema deltas, and a run that crashed or stopped early resumes by
+  /// re-running on the same directory. A cache that cannot be opened
+  /// disables itself with a warning; it is never a correctness risk.
   std::string cache_dir;
   /// Soft size cap for cache_dir in bytes; 0 means unbounded. Exceeding
   /// it evicts least-recently-used entries.
@@ -144,6 +146,9 @@ struct PipelineOptions {
 /// so callers can inspect or reuse them.
 struct PipelineRun {
   scoping::SignatureSet signatures;
+  /// The phase-II models, fitted or restored from the cache; filled by
+  /// kCollaborativePca runs only.
+  std::vector<scoping::LocalModel> local_models;
   std::vector<bool> keep;               ///< Linkability mask (phase III).
   schema::SchemaSet streamlined;        ///< The S' schemas.
   std::set<matching::ElementPair> linkages;
@@ -163,14 +168,9 @@ struct PipelineRun {
   /// run stopped early at a phase boundary. Partial runs are still OK
   /// Results — the artifacts of every completed phase are valid.
   Status status;
-  /// Names of the phases that ran to completion, in order (subset of
-  /// signatures, local_models, keep_mask, streamline, match, evaluate).
+  /// Names of the phases that ran to completion, in order (a prefix of
+  /// the phases the run executes, see kPipelinePhases).
   std::vector<std::string> phases_completed;
-  /// How many phases were restored from checkpoints instead of
-  /// recomputed (surfaced in metrics as pipeline.phases_resumed, never
-  /// in the JSON report — resumed and fresh runs must stay
-  /// byte-identical).
-  size_t phases_resumed = 0;
   /// Flight-recorder dump: the last RPC / fault / retry events this
   /// process recorded, serialized into the JSON report when non-empty.
   /// Run() never fills this — comparing two fresh runs must not see

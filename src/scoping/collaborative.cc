@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <numeric>
 #include <optional>
 
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "linalg/stats.h"
 #include "obs/metrics.h"
-#include "obs/thread_pool_metrics.h"
 
 namespace colscope::scoping {
 
@@ -146,56 +146,63 @@ Result<std::vector<bool>> AssessLinkabilityDegraded(
   return AssessLinkability(local_signatures, own_schema_index, arrived);
 }
 
+Result<std::vector<LocalModel>> FitLocalModelsOf(
+    const SignatureSet& signatures, const std::vector<size_t>& schemas,
+    double v, ThreadPool* pool, const CancellationToken* cancel) {
+  std::vector<std::optional<LocalModel>> slots(schemas.size());
+  std::vector<Status> statuses(schemas.size());
+  const auto fit_one = [&](size_t i) {
+    const int schema = static_cast<int>(schemas[i]);
+    Result<LocalModel> model =
+        LocalModel::Fit(signatures.SchemaSignatures(schema), v, schema);
+    if (model.ok()) {
+      slots[i] = std::move(model).value();
+    } else {
+      statuses[i] = model.status();
+    }
+  };
+  if (pool != nullptr && schemas.size() > 1) {
+    COLSCOPE_RETURN_IF_ERROR(
+        pool->ParallelFor(schemas.size(), fit_one, cancel));
+  } else {
+    for (size_t i = 0; i < schemas.size(); ++i) {
+      if (cancel != nullptr && cancel->cancelled()) {
+        return Status::Cancelled("local-model fit cancelled");
+      }
+      fit_one(i);
+      if (!statuses[i].ok()) return statuses[i];
+    }
+  }
+  for (const Status& status : statuses) {
+    if (!status.ok()) return status;
+  }
+  std::vector<LocalModel> models;
+  models.reserve(schemas.size());
+  for (auto& slot : slots) models.push_back(std::move(*slot));
+  return models;
+}
+
+namespace {
+
+std::vector<size_t> AllSchemas(size_t num_schemas) {
+  std::vector<size_t> schemas(num_schemas);
+  std::iota(schemas.begin(), schemas.end(), size_t{0});
+  return schemas;
+}
+
+}  // namespace
+
 Result<std::vector<LocalModel>> FitLocalModels(const SignatureSet& signatures,
                                                size_t num_schemas, double v) {
-  std::vector<LocalModel> models;
-  models.reserve(num_schemas);
-  for (size_t s = 0; s < num_schemas; ++s) {
-    Result<LocalModel> model = LocalModel::Fit(
-        signatures.SchemaSignatures(static_cast<int>(s)), v,
-        static_cast<int>(s));
-    if (!model.ok()) return model.status();
-    models.push_back(std::move(model).value());
-  }
-  return models;
+  return FitLocalModelsOf(signatures, AllSchemas(num_schemas), v, nullptr,
+                          nullptr);
 }
 
 Result<std::vector<LocalModel>> FitLocalModelsOnPool(
     const SignatureSet& signatures, size_t num_schemas, double v,
     ThreadPool& pool, const CancellationToken* cancel) {
-  std::vector<std::optional<LocalModel>> slots(num_schemas);
-  std::vector<Status> statuses(num_schemas);
-  const Status pool_status = pool.ParallelFor(
-      num_schemas,
-      [&](size_t s) {
-        Result<LocalModel> model = LocalModel::Fit(
-            signatures.SchemaSignatures(static_cast<int>(s)), v,
-            static_cast<int>(s));
-        if (model.ok()) {
-          slots[s] = std::move(model).value();
-        } else {
-          statuses[s] = model.status();
-        }
-      },
-      cancel);
-  if (!pool_status.ok()) return pool_status;
-  for (const Status& status : statuses) {
-    if (!status.ok()) return status;
-  }
-  std::vector<LocalModel> models;
-  models.reserve(num_schemas);
-  for (auto& slot : slots) models.push_back(std::move(*slot));
-  return models;
-}
-
-Result<std::vector<LocalModel>> FitLocalModelsParallel(
-    const SignatureSet& signatures, size_t num_schemas, double v,
-    size_t num_threads, obs::MetricsRegistry* metrics,
-    const CancellationToken* cancel) {
-  std::optional<obs::ThreadPoolMetrics> pool_metrics;
-  if (metrics != nullptr) pool_metrics.emplace(metrics, "scoping.fit_pool");
-  ThreadPool pool(num_threads, pool_metrics ? &*pool_metrics : nullptr);
-  return FitLocalModelsOnPool(signatures, num_schemas, v, pool, cancel);
+  return FitLocalModelsOf(signatures, AllSchemas(num_schemas), v, &pool,
+                          cancel);
 }
 
 std::vector<bool> AssessAll(const SignatureSet& signatures,

@@ -118,28 +118,26 @@ Result<std::vector<bool>> AssessLinkabilityDegraded(
 Result<std::vector<bool>> CollaborativeScoping(const SignatureSet& signatures,
                                                size_t num_schemas, double v);
 
-/// The fitted models of phase II, exposed for callers that sweep v or
-/// inspect n_comp / l_k per schema.
+/// Phase II for the schemas listed in `schemas`: fits one local model
+/// per schema at explained variance `v`, returned in the order of
+/// `schemas`. The paper observes that "the computation of the
+/// self-supervised encoder-decoder ... takes place in parallel at each
+/// local schema" (Section 3): with a non-null `pool` each schema is one
+/// task on it, otherwise the fits run on the calling thread. Models are
+/// identical either way. A non-null `cancel` token makes the fit
+/// cooperative: once it trips no new per-schema fit starts and the call
+/// returns Cancelled.
+Result<std::vector<LocalModel>> FitLocalModelsOf(
+    const SignatureSet& signatures, const std::vector<size_t>& schemas,
+    double v, ThreadPool* pool, const CancellationToken* cancel);
+
+/// FitLocalModelsOf over every schema, serially — for callers that sweep
+/// v or inspect n_comp / l_k per schema.
 Result<std::vector<LocalModel>> FitLocalModels(const SignatureSet& signatures,
                                                size_t num_schemas, double v);
 
-/// Phase II in parallel: one task per schema, mirroring the paper's
-/// observation that "the computation of the self-supervised
-/// encoder-decoder ... takes place in parallel at each local schema"
-/// (Section 3). `num_threads` 0 uses the hardware concurrency. Result
-/// order and content are identical to FitLocalModels.
-/// When `metrics` is non-null the worker pool reports queue-depth and
-/// task-latency under "scoping.fit_pool.*" (see obs::ThreadPoolMetrics).
-/// A non-null `cancel` token makes the fit cooperative: once it trips no
-/// new per-schema fits start and the call returns Cancelled.
-Result<std::vector<LocalModel>> FitLocalModelsParallel(
-    const SignatureSet& signatures, size_t num_schemas, double v,
-    size_t num_threads = 0, obs::MetricsRegistry* metrics = nullptr,
-    const CancellationToken* cancel = nullptr);
-
-/// Phase II on a caller-supplied pool (e.g. the pipeline's run-wide
-/// pool, shared with the encode and match phases); otherwise identical
-/// to FitLocalModelsParallel.
+/// FitLocalModelsOf over every schema on a caller-supplied pool (e.g. the
+/// pipeline's run-wide pool, shared with the encode and match phases).
 Result<std::vector<LocalModel>> FitLocalModelsOnPool(
     const SignatureSet& signatures, size_t num_schemas, double v,
     ThreadPool& pool, const CancellationToken* cancel = nullptr);

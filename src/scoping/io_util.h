@@ -9,9 +9,9 @@
 namespace colscope::scoping::io {
 
 /// Shared parsing discipline of the text artifacts this library
-/// exchanges and checkpoints (local models, signature sets, keep masks).
+/// exchanges and caches (local models, signature blocks, keep masks).
 /// Every artifact crosses an untrusted boundary — a faulty transport or
-/// a half-written checkpoint — so parsing is strict: finite-only
+/// a damaged cache object — so parsing is strict: finite-only
 /// numbers, no trailing garbage, overflow-checked sizes.
 
 /// Parses one double strictly; false on trailing garbage, range error,

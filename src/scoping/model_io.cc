@@ -18,7 +18,6 @@ using io::ParseSize;
 using io::ParseVectorLine;
 
 constexpr char kHeader[] = "colscope-local-model v1";
-constexpr char kSetHeader[] = "colscope-model-set v1";
 
 // A deserialized model is exchanged over an untrusted transport, so its
 // declared shape bounds what we are willing to allocate: dims and
@@ -27,9 +26,6 @@ constexpr char kSetHeader[] = "colscope-model-set v1";
 constexpr size_t kMaxDims = size_t{1} << 20;
 constexpr size_t kMaxComponents = size_t{1} << 16;
 constexpr size_t kMaxTotalValues = size_t{1} << 24;
-// Sanity cap on the number of models one set may declare (one model per
-// participating schema; far beyond any realistic federation).
-constexpr size_t kMaxModelsPerSet = size_t{1} << 16;
 
 /// Parses a decimal int in [-1, INT_MAX] (−1 is the "anonymous peer"
 /// schema index); false on garbage or out-of-range values.
@@ -160,71 +156,6 @@ Result<LocalModel> DeserializeLocalModel(const std::string& text) {
       linalg::PcaModel::FromParts(std::move(mean), std::move(pcs));
   if (!pca.ok()) return pca.status();
   return LocalModel::FromParts(std::move(pca).value(), range, schema_index);
-}
-
-std::string SerializeLocalModelSet(const std::vector<LocalModel>& models) {
-  std::string out;
-  out += kSetHeader;
-  out += '\n';
-  out += StrFormat("models %zu\n", models.size());
-  for (const LocalModel& model : models) {
-    out += SerializeLocalModel(model);
-  }
-  return out;
-}
-
-Result<std::vector<LocalModel>> DeserializeLocalModelSet(
-    const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || StripAsciiWhitespace(line) != kSetHeader) {
-    return Status::InvalidArgument("missing or unsupported model-set header");
-  }
-  if (!std::getline(in, line)) {
-    return Status::InvalidArgument("missing models count");
-  }
-  const std::vector<std::string> tokens =
-      SplitString(StripAsciiWhitespace(line), " \t");
-  size_t declared = 0;
-  if (tokens.size() != 2 || tokens[0] != "models" ||
-      !ParseSize(tokens[1], declared) || declared > kMaxModelsPerSet) {
-    return Status::InvalidArgument("malformed models count line");
-  }
-
-  // Split the remainder on per-model header lines; each block is handed
-  // to the (hardened) single-model parser.
-  std::vector<std::string> blocks;
-  std::string current;
-  bool in_block = false;
-  while (std::getline(in, line)) {
-    if (StripAsciiWhitespace(line) == kHeader) {
-      if (in_block) blocks.push_back(std::move(current));
-      current.clear();
-      in_block = true;
-    } else if (!in_block && !StripAsciiWhitespace(line).empty()) {
-      return Status::InvalidArgument(
-          "garbage between models count and first model header");
-    }
-    if (in_block) {
-      current += line;
-      current += '\n';
-    }
-  }
-  if (in_block) blocks.push_back(std::move(current));
-
-  if (blocks.size() != declared) {
-    return Status::InvalidArgument(
-        StrFormat("model set declares %zu models, found %zu", declared,
-                  blocks.size()));
-  }
-  std::vector<LocalModel> models;
-  models.reserve(blocks.size());
-  for (const std::string& block : blocks) {
-    Result<LocalModel> model = DeserializeLocalModel(block);
-    if (!model.ok()) return model.status();
-    models.push_back(std::move(model).value());
-  }
-  return models;
 }
 
 }  // namespace colscope::scoping

@@ -2,7 +2,6 @@
 #define COLSCOPE_SCOPING_MODEL_IO_H_
 
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "scoping/collaborative.h"
@@ -28,20 +27,6 @@ std::string SerializeLocalModel(const LocalModel& model);
 /// Parses a model serialized by SerializeLocalModel. Fails with
 /// InvalidArgument on version/shape mismatches or malformed numbers.
 Result<LocalModel> DeserializeLocalModel(const std::string& text);
-
-/// Serializes the whole phase-II model set (one model per schema) as a
-/// single artifact — the form the pipeline checkpoints between phases:
-///   colscope-model-set v1
-///   models <n>
-///   <n SerializeLocalModel blocks>
-std::string SerializeLocalModelSet(const std::vector<LocalModel>& models);
-
-/// Parses a model set written by SerializeLocalModelSet with the same
-/// hardened discipline as DeserializeLocalModel: a wrong header, a
-/// declared count that does not match the blocks present, or any
-/// malformed member model fails the whole set.
-Result<std::vector<LocalModel>> DeserializeLocalModelSet(
-    const std::string& text);
 
 }  // namespace colscope::scoping
 

@@ -1,7 +1,5 @@
 #include "scoping/signature_io.h"
 
-#include <climits>
-#include <cstdlib>
 #include <sstream>
 
 #include "common/strings.h"
@@ -11,204 +9,15 @@ namespace colscope::scoping {
 
 namespace {
 
-using io::AppendVector;
 using io::ParseSize;
-using io::ParseVectorLine;
 
-constexpr char kSignatureHeader[] = "colscope-signature-set v1";
 constexpr char kMaskHeader[] = "colscope-keep-mask v1";
 
-// Checkpoints are read back from disk after arbitrary interference, so
-// the declared shape bounds every allocation: element count and dims are
-// capped individually and jointly before the matrix is sized.
+// Keep masks are read back from the artifact cache after arbitrary
+// interference, so the declared element count bounds the allocation.
 constexpr size_t kMaxElements = size_t{1} << 20;
-constexpr size_t kMaxDims = size_t{1} << 20;
-constexpr size_t kMaxTotalValues = size_t{1} << 26;
-
-/// Escapes a serialized element text for a single-line "text" record.
-std::string EscapeText(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        out.push_back(c);
-    }
-  }
-  return out;
-}
-
-/// Inverse of EscapeText; false on a dangling or unknown escape.
-bool UnescapeText(const std::string& escaped, std::string& out) {
-  out.clear();
-  out.reserve(escaped.size());
-  for (size_t i = 0; i < escaped.size(); ++i) {
-    if (escaped[i] != '\\') {
-      out.push_back(escaped[i]);
-      continue;
-    }
-    if (i + 1 >= escaped.size()) return false;
-    switch (escaped[++i]) {
-      case '\\':
-        out.push_back('\\');
-        break;
-      case 'n':
-        out.push_back('\n');
-        break;
-      case 'r':
-        out.push_back('\r');
-        break;
-      default:
-        return false;
-    }
-  }
-  return true;
-}
-
-/// Parses a decimal int in [-1, INT_MAX] (ElementRef uses -1 for "the
-/// table itself" / "unset"); false on garbage or out-of-range values.
-bool ParseRefIndex(const std::string& token, int& out) {
-  if (token.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long value = std::strtol(token.c_str(), &end, 10);
-  if (errno != 0 || end == token.c_str() || *end != '\0') return false;
-  if (value < -1 || value > INT_MAX) return false;
-  out = static_cast<int>(value);
-  return true;
-}
 
 }  // namespace
-
-std::string SerializeSignatureSet(const SignatureSet& set) {
-  std::string out;
-  out += kSignatureHeader;
-  out += '\n';
-  out += StrFormat("elements %zu\n", set.size());
-  out += StrFormat("dims %zu\n", set.signatures.cols());
-  for (const schema::ElementRef& ref : set.refs) {
-    out += StrFormat("ref %d %d %d\n", ref.schema, ref.table, ref.attribute);
-  }
-  for (const std::string& text : set.texts) {
-    out += "text ";
-    out += EscapeText(text);
-    out += '\n';
-  }
-  for (size_t r = 0; r < set.signatures.rows(); ++r) {
-    out += "row ";
-    AppendVector(out, set.signatures.Row(r));
-  }
-  return out;
-}
-
-Result<SignatureSet> DeserializeSignatureSet(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) ||
-      StripAsciiWhitespace(line) != kSignatureHeader) {
-    return Status::InvalidArgument(
-        "missing or unsupported signature-set header");
-  }
-
-  size_t elements = 0, dims = 0;
-  bool seen_elements = false, seen_dims = false;
-  SignatureSet set;
-  size_t refs_read = 0, texts_read = 0, rows_read = 0;
-
-  while (std::getline(in, line)) {
-    const std::string_view stripped = StripAsciiWhitespace(line);
-    if (stripped.empty()) continue;
-    const size_t space = stripped.find(' ');
-    const std::string key(stripped.substr(0, space));
-    const std::string value(
-        space == std::string_view::npos ? "" : stripped.substr(space + 1));
-
-    if (key == "elements") {
-      if (seen_elements) {
-        return Status::InvalidArgument("duplicate elements line");
-      }
-      if (!ParseSize(value, elements) || elements > kMaxElements) {
-        return Status::InvalidArgument(
-            StrFormat("elements must be in [0, %zu], got: %s", kMaxElements,
-                      value.c_str()));
-      }
-      seen_elements = true;
-    } else if (key == "dims") {
-      if (seen_dims) return Status::InvalidArgument("duplicate dims line");
-      if (!seen_elements) {
-        return Status::InvalidArgument("elements must precede dims");
-      }
-      if (!ParseSize(value, dims) || dims > kMaxDims ||
-          (elements > 0 && dims > 0 && dims > kMaxTotalValues / elements)) {
-        return Status::InvalidArgument(
-            StrFormat("dims out of range for %zu elements: %s", elements,
-                      value.c_str()));
-      }
-      seen_dims = true;
-      set.refs.reserve(elements);
-      set.texts.reserve(elements);
-      set.signatures = linalg::Matrix(elements, dims);
-    } else if (key == "ref") {
-      if (!seen_dims || refs_read >= elements) {
-        return Status::InvalidArgument("more ref lines than elements");
-      }
-      const std::vector<std::string> tokens = SplitString(value, " \t");
-      schema::ElementRef ref;
-      if (tokens.size() != 3 || !ParseRefIndex(tokens[0], ref.schema) ||
-          !ParseRefIndex(tokens[1], ref.table) ||
-          !ParseRefIndex(tokens[2], ref.attribute)) {
-        return Status::InvalidArgument("malformed ref line: " + value);
-      }
-      set.refs.push_back(ref);
-      ++refs_read;
-    } else if (key == "text") {
-      if (!seen_dims || texts_read >= elements) {
-        return Status::InvalidArgument("more text lines than elements");
-      }
-      // The raw (unstripped) remainder preserves interior whitespace; a
-      // "text" record's payload starts right after the first space.
-      const size_t key_at = line.find("text");
-      const std::string payload = line.size() > key_at + 5
-                                      ? line.substr(key_at + 5)
-                                      : std::string();
-      std::string unescaped;
-      if (!UnescapeText(payload, unescaped)) {
-        return Status::InvalidArgument("malformed text escape: " + value);
-      }
-      set.texts.push_back(std::move(unescaped));
-      ++texts_read;
-    } else if (key == "row") {
-      if (!seen_dims || rows_read >= elements) {
-        return Status::InvalidArgument("more row lines than elements");
-      }
-      linalg::Vector row;
-      COLSCOPE_RETURN_IF_ERROR(ParseVectorLine(value, dims, row));
-      set.signatures.SetRow(rows_read++, row);
-    } else {
-      return Status::InvalidArgument("unknown key: " + key);
-    }
-  }
-
-  if (!seen_elements || !seen_dims) {
-    return Status::InvalidArgument("missing elements/dims declaration");
-  }
-  if (refs_read != elements || texts_read != elements ||
-      rows_read != elements) {
-    return Status::InvalidArgument(StrFormat(
-        "expected %zu refs/texts/rows, found %zu/%zu/%zu", elements,
-        refs_read, texts_read, rows_read));
-  }
-  return set;
-}
 
 std::string SerializeKeepMask(const std::vector<bool>& keep) {
   std::string out;

@@ -5,26 +5,8 @@
 #include <vector>
 
 #include "common/status.h"
-#include "scoping/signatures.h"
 
 namespace colscope::scoping {
-
-/// Serializes a phase-I SignatureSet (refs, serialized texts, and the
-/// signature matrix) to the checkpointable text format:
-///   colscope-signature-set v1
-///   elements <n>
-///   dims <d>
-///   ref <schema> <table> <attribute>     (n lines)
-///   text <escaped serialized text>       (n lines; \n, \r, \\ escaped)
-///   row <d doubles>                      (n lines, %.17g round-trip exact)
-/// Doubles round-trip exactly, so a resumed run computes on bit-identical
-/// signatures — the property the byte-identical-report guarantee needs.
-std::string SerializeSignatureSet(const SignatureSet& set);
-
-/// Parses a signature set with the same hardened discipline as the model
-/// deserializer: finite-only numbers, overflow-checked allocation caps on
-/// the declared shape, duplicate/trailing-garbage rejection.
-Result<SignatureSet> DeserializeSignatureSet(const std::string& text);
 
 /// Serializes a phase-III keep mask (linkability verdicts in signature
 /// row order):

@@ -1,12 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "datasets/oc3.h"
-#include "datasets/toy.h"
 #include "embed/hashed_encoder.h"
 #include "matching/sim.h"
 #include "matching/token_blocking.h"
-#include "scoping/calibration.h"
-#include "scoping/collaborative.h"
 #include "scoping/signatures.h"
 
 namespace colscope {
@@ -64,60 +61,6 @@ TEST_F(TokenBlockingTest, RespectsMaskAndName) {
   EXPECT_TRUE(
       matching::TokenBlockedSimMatcher(0.0).Match(signatures_, none).empty());
   EXPECT_EQ(matching::TokenBlockedSimMatcher(0.6).name(), "TBSIM(0.6)");
-}
-
-// --- Variance calibration --------------------------------------------------------
-
-TEST(CalibrationTest, ReturnsGridValueWithStability) {
-  auto scenario = datasets::BuildOc3Scenario();
-  embed::HashedLexiconEncoder encoder;
-  const auto signatures = scoping::BuildSignatures(scenario.set, encoder);
-  const auto result = scoping::CalibrateVariance(signatures, 3);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  // Chosen v is an interior grid value within the paper's band.
-  EXPECT_GE(result->v, 0.5);
-  EXPECT_LE(result->v, 0.95);
-  EXPECT_GT(result->stability, 0.5);
-  EXPECT_EQ(result->stabilities.size(), result->grid.size());
-  // Boundary entries stay zero-padded.
-  EXPECT_DOUBLE_EQ(result->stabilities.front(), 0.0);
-  EXPECT_DOUBLE_EQ(result->stabilities.back(), 0.0);
-  // The chosen v attains the max interior stability.
-  double max_interior = 0.0;
-  for (size_t i = 1; i + 1 < result->grid.size(); ++i) {
-    max_interior = std::max(max_interior, result->stabilities[i]);
-  }
-  EXPECT_DOUBLE_EQ(result->stability, max_interior);
-}
-
-TEST(CalibrationTest, DeterministicAndValidatesInput) {
-  auto scenario = datasets::BuildToyScenario();
-  embed::HashedLexiconEncoder encoder;
-  const auto signatures = scoping::BuildSignatures(scenario.set, encoder);
-  const auto a = scoping::CalibrateVariance(signatures, 4);
-  const auto b = scoping::CalibrateVariance(signatures, 4);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_DOUBLE_EQ(a->v, b->v);
-  EXPECT_FALSE(scoping::CalibrateVariance(signatures, 4, {0.5, 0.6}).ok());
-  EXPECT_FALSE(
-      scoping::CalibrateVariance(signatures, 4, {0.9, 0.5, 0.7}).ok());
-}
-
-TEST(CalibrationTest, CalibratedVIsUsableEndToEnd) {
-  auto scenario = datasets::BuildOc3FoScenario();
-  embed::HashedLexiconEncoder encoder;
-  const auto signatures = scoping::BuildSignatures(scenario.set, encoder);
-  const auto calibration = scoping::CalibrateVariance(signatures, 4);
-  ASSERT_TRUE(calibration.ok());
-  const auto keep =
-      scoping::CollaborativeScoping(signatures, 4, calibration->v);
-  ASSERT_TRUE(keep.ok());
-  // A sensible operating point: prunes a sizable chunk, keeps a core.
-  size_t kept = 0;
-  for (bool k : *keep) kept += k;
-  EXPECT_GT(kept, signatures.size() / 10);
-  EXPECT_LT(kept, signatures.size());
 }
 
 }  // namespace

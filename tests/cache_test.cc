@@ -13,7 +13,6 @@
 #include "embed/hashed_encoder.h"
 #include "matching/sim.h"
 #include "obs/metrics.h"
-#include "pipeline/checkpoint.h"
 #include "pipeline/pipeline.h"
 #include "schema/fingerprint.h"
 
@@ -323,32 +322,33 @@ TEST_F(PipelineCacheTest, RenamedSourceIsACacheHit) {
   EXPECT_EQ(CounterValue(warm_metrics, "cache.misses"), 0u);
 }
 
-TEST_F(PipelineCacheTest, ResumeAndCacheCompose) {
-  ScratchDir cache_dir("pipeline_cache_resume");
-  ScratchDir ckpt_dir("pipeline_ckpt_resume");
+TEST_F(PipelineCacheTest, ChangingVarianceOverOneCacheMatchesColdRun) {
+  ScratchDir shared("pipeline_variance_shared");
+  ScratchDir cold_dir("pipeline_variance_cold");
+  const auto run_at = [&](double v, const std::string& dir,
+                          obs::MetricsRegistry* metrics) {
+    pipeline::PipelineOptions options;
+    options.explained_variance = v;
+    options.cache_dir = dir;
+    options.metrics = metrics;
+    auto run = pipeline::Pipeline(&encoder_, options).Run(scenario_.set,
+                                                          matcher_);
+    EXPECT_TRUE(run.ok()) << run.status().ToString();
+    return std::move(run).value();
+  };
+  run_at(0.5, shared.path(), nullptr);
 
-  pipeline::PipelineOptions options;
-  options.explained_variance = 0.5;
-  options.cache_dir = cache_dir.path();
-  options.checkpoint_dir = ckpt_dir.path();
-  pipeline::Pipeline cold(&encoder_, options);
-  auto cold_run = cold.Run(scenario_.set, matcher_);
-  ASSERT_TRUE(cold_run.ok());
-
-  // Resume: checkpoints win for the phases they cover; the cache still
-  // serves the similarity blocks. The run must agree bit-for-bit.
+  // v keys the models (and through them the keep slices and similarity
+  // blocks) but not the signatures: only the four signature blocks hit.
   obs::MetricsRegistry metrics;
-  options.resume = true;
-  options.metrics = &metrics;
-  pipeline::Pipeline warm(&encoder_, options);
-  auto warm_run = warm.Run(scenario_.set, matcher_);
-  ASSERT_TRUE(warm_run.ok());
-  EXPECT_GT(warm_run->phases_resumed, 0u);
-  EXPECT_EQ(CounterValue(metrics, "cache.misses"), 0u);
-  EXPECT_EQ(cold_run->keep, warm_run->keep);
-  EXPECT_EQ(cold_run->linkages, warm_run->linkages);
-  EXPECT_EQ(cold_run->signatures.signatures.data(),
-            warm_run->signatures.signatures.data());
+  const pipeline::PipelineRun warm = run_at(0.9, shared.path(), &metrics);
+  EXPECT_EQ(CounterValue(metrics, "cache.hits"), 4u);
+
+  const pipeline::PipelineRun cold = run_at(0.9, cold_dir.path(), nullptr);
+  EXPECT_EQ(cold.signatures.signatures.data(),
+            warm.signatures.signatures.data());
+  EXPECT_EQ(cold.keep, warm.keep);
+  EXPECT_EQ(cold.linkages, warm.linkages);
 }
 
 }  // namespace

@@ -2,9 +2,7 @@
 
 #include "datasets/toy.h"
 #include "embed/hashed_encoder.h"
-#include "eval/breakdown.h"
 #include "matching/cupid.h"
-#include "matching/sim.h"
 #include "scoping/signatures.h"
 
 namespace colscope {
@@ -113,42 +111,6 @@ TEST_F(CupidFixture, ThresholdMonotone) {
       matching::CupidMatcher(strict_options).Match(signatures_, all_);
   EXPECT_LE(strict.size(), loose.size());
   for (const auto& pair : strict) EXPECT_TRUE(loose.count(pair));
-}
-
-// --- Per-pair breakdown ---------------------------------------------------------
-
-TEST_F(CupidFixture, BreakdownSumsToGlobalTotals) {
-  const auto pairs = matching::SimMatcher(0.6).Match(signatures_, all_);
-  const auto global = eval::EvaluateMatching(
-      pairs, scenario_.truth,
-      scenario_.set.TableCartesianSize() +
-          scenario_.set.AttributeCartesianSize());
-  const auto per_pair =
-      eval::EvaluateMatchingPerPair(pairs, scenario_.truth, scenario_.set);
-  ASSERT_EQ(per_pair.size(), 6u);  // 4 choose 2.
-  size_t generated = 0, true_pairs = 0, truth_total = 0, cartesian = 0;
-  for (const auto& [key, quality] : per_pair) {
-    generated += quality.generated;
-    true_pairs += quality.true_linkages;
-    truth_total += quality.ground_truth;
-    cartesian += quality.cartesian;
-  }
-  EXPECT_EQ(generated, global.generated);
-  EXPECT_EQ(true_pairs, global.true_linkages);
-  EXPECT_EQ(truth_total, global.ground_truth);
-  EXPECT_EQ(cartesian, global.cartesian);
-}
-
-TEST_F(CupidFixture, BreakdownS4PairsHaveNoGroundTruth) {
-  const auto pairs = matching::SimMatcher(0.4).Match(signatures_, all_);
-  const auto per_pair =
-      eval::EvaluateMatchingPerPair(pairs, scenario_.truth, scenario_.set);
-  for (const auto& [key, quality] : per_pair) {
-    if (key.second == 3) {  // Any pair involving the CAR schema.
-      EXPECT_EQ(quality.ground_truth, 0u);
-      EXPECT_EQ(quality.true_linkages, 0u);
-    }
-  }
 }
 
 }  // namespace

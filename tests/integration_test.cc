@@ -4,9 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "datasets/oc3.h"
 #include "embed/hashed_encoder.h"
-#include "eval/breakdown.h"
 #include "eval/matching_metrics.h"
 #include "eval/sweep.h"
 #include "matching/cluster_matcher.h"
@@ -16,7 +16,6 @@
 #include "outlier/pca_oda.h"
 #include "outlier/zscore.h"
 #include "scoping/collaborative.h"
-#include "scoping/ensemble.h"
 #include "scoping/model_io.h"
 #include "scoping/scoping.h"
 #include "scoping/signatures.h"
@@ -241,8 +240,9 @@ TEST_F(PipelineTest, StreamlinedSchemasShrinkAndPreserveNames) {
 
 TEST_F(PipelineTest, ParallelFitIdenticalToSequentialOnOc3Fo) {
   const auto sequential = scoping::FitLocalModels(state_->sig_fo, 4, 0.8);
+  ThreadPool pool(4);
   const auto parallel =
-      scoping::FitLocalModelsParallel(state_->sig_fo, 4, 0.8);
+      scoping::FitLocalModelsOnPool(state_->sig_fo, 4, 0.8, pool);
   ASSERT_TRUE(sequential.ok());
   ASSERT_TRUE(parallel.ok());
   EXPECT_EQ(scoping::AssessAll(state_->sig_fo, 4, *sequential),
@@ -261,38 +261,6 @@ TEST_F(PipelineTest, ModelRoundTripPreservesAssessmentOnOc3) {
   }
   EXPECT_EQ(scoping::AssessAll(state_->sig_oc3, 3, *models),
             scoping::AssessAll(state_->sig_oc3, 3, restored));
-}
-
-TEST_F(PipelineTest, EnsembleMajorityBetweenUnionAndIntersection) {
-  scoping::EnsembleOptions majority;  // 3-of-5 default.
-  const auto mask =
-      scoping::EnsembleCollaborativeScoping(state_->sig_fo, 4, majority);
-  ASSERT_TRUE(mask.ok());
-  const auto c = eval::Evaluate(state_->labels_fo, *mask);
-  // A sane operating point: clearly better than keeping everything
-  // (precision = base rate 0.275) and with usable recall.
-  EXPECT_GT(c.Precision(), 0.45);
-  EXPECT_GT(c.Recall(), 0.5);
-}
-
-TEST_F(PipelineTest, PerPairBreakdownConsistentOnOc3) {
-  const std::vector<bool> all(state_->sig_oc3.size(), true);
-  const auto pairs =
-      matching::SimMatcher(0.6).Match(state_->sig_oc3, all);
-  const auto global = eval::EvaluateMatching(
-      pairs, state_->oc3.truth,
-      state_->oc3.set.TableCartesianSize() +
-          state_->oc3.set.AttributeCartesianSize());
-  const auto breakdown = eval::EvaluateMatchingPerPair(
-      pairs, state_->oc3.truth, state_->oc3.set);
-  ASSERT_EQ(breakdown.size(), 3u);
-  size_t generated = 0, truth_total = 0;
-  for (const auto& [key, quality] : breakdown) {
-    generated += quality.generated;
-    truth_total += quality.ground_truth;
-  }
-  EXPECT_EQ(generated, global.generated);
-  EXPECT_EQ(truth_total, 70u);  // 36 + 18 + 16 (Table 3 per-pair rows).
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "common/cancellation.h"
@@ -104,10 +105,32 @@ TEST_F(PipelineApiTest, CompletedRunReportsAllPhases) {
   ASSERT_TRUE(run.ok());
   EXPECT_TRUE(run->status.ok());
   EXPECT_EQ(run->phases_completed,
-            (std::vector<std::string>{"signatures", "local_models",
-                                      "keep_mask", "streamline", "match",
-                                      "evaluate"}));
-  EXPECT_EQ(run->phases_resumed, 0u);
+            std::vector<std::string>(kPipelinePhases.begin(),
+                                     kPipelinePhases.end()));
+  EXPECT_EQ(run->local_models.size(), scenario_.set.num_schemas());
+}
+
+TEST_F(PipelineApiTest, EveryPhaseThatRunsRecordsItsLatency) {
+  for (ScoperKind scoper : {ScoperKind::kNone, ScoperKind::kCollaborativePca}) {
+    obs::MetricsRegistry metrics;
+    PipelineOptions options;
+    options.scoper = scoper;
+    options.metrics = &metrics;
+    auto run = Pipeline(&encoder_, options)
+                   .Run(scenario_.set, matcher_, &scenario_.truth);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ASSERT_TRUE(run->metrics.has_value());
+    std::vector<std::string> timed;
+    for (const auto& [name, histogram] : run->metrics->histograms) {
+      timed.push_back(name);
+    }
+    std::vector<std::string> expected;
+    for (const std::string& phase : run->phases_completed) {
+      expected.push_back("pipeline." + phase + "_ms");
+    }
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(timed, expected);
+  }
 }
 
 TEST_F(PipelineApiTest, PreCancelledRunStopsAfterSignatures) {
@@ -156,83 +179,55 @@ TEST_F(PipelineApiTest, GenerousDeadlineDoesNotInterfere) {
   EXPECT_TRUE(run->status.ok());
 }
 
-TEST_F(PipelineApiTest, CrashAfterPhaseHookFailsTheRun) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "colscope_crash_hook")
-          .string();
-  std::filesystem::remove_all(dir);
-  PipelineOptions options;
-  options.checkpoint_dir = dir;
-  options.crash_after_phase = "local_models";
-  Pipeline pipeline(&encoder_, options);
-  auto run = pipeline.Run(scenario_.set, matcher_);
+TEST_F(PipelineApiTest, CrashAfterPhaseHookFiresAfterAnyPhase) {
+  for (const char* phase : {"local_models", "match"}) {
+    PipelineOptions options;
+    options.crash_after_phase = phase;
+    auto run = Pipeline(&encoder_, options).Run(scenario_.set, matcher_);
+    ASSERT_FALSE(run.ok()) << phase;
+    EXPECT_EQ(run.status().code(), StatusCode::kInternal);
+  }
+  PipelineOptions typo;
+  typo.crash_after_phase = "local_model";
+  auto run = Pipeline(&encoder_, typo).Run(scenario_.set, matcher_);
   ASSERT_FALSE(run.ok());
-  EXPECT_EQ(run.status().code(), StatusCode::kInternal);
-  // The crash fired after the checkpoint committed.
-  EXPECT_TRUE(std::filesystem::exists(dir + "/signatures.ckpt"));
-  EXPECT_TRUE(std::filesystem::exists(dir + "/local_models.ckpt"));
-  EXPECT_FALSE(std::filesystem::exists(dir + "/keep_mask.ckpt"));
-  std::filesystem::remove_all(dir);
+  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(PipelineApiTest, ResumeAfterCrashMatchesUninterruptedRun) {
+TEST_F(PipelineApiTest, RerunOnTheCacheAfterACrashMatchesUninterruptedRun) {
   const std::string dir =
-      (std::filesystem::temp_directory_path() / "colscope_resume")
+      (std::filesystem::temp_directory_path() / "colscope_crash_rerun")
           .string();
   std::filesystem::remove_all(dir);
   PipelineOptions options;
-  options.scoper = ScoperKind::kCollaborativePca;
   options.explained_variance = 0.5;
-
   auto gold = Pipeline(&encoder_, options)
                   .Run(scenario_.set, matcher_, &scenario_.truth);
   ASSERT_TRUE(gold.ok());
 
   PipelineOptions crash = options;
-  crash.checkpoint_dir = dir;
+  crash.cache_dir = dir;
   crash.crash_after_phase = "local_models";
-  ASSERT_FALSE(
-      Pipeline(&encoder_, crash).Run(scenario_.set, matcher_).ok());
+  ASSERT_FALSE(Pipeline(&encoder_, crash).Run(scenario_.set, matcher_).ok());
 
+  // The crashed run left its signatures and models in the cache: the
+  // re-run restores them (hits) and computes only what came after.
   obs::MetricsRegistry metrics;
-  PipelineOptions resume = options;
-  resume.checkpoint_dir = dir;
-  resume.resume = true;
-  resume.metrics = &metrics;
-  auto resumed = Pipeline(&encoder_, resume)
+  PipelineOptions rerun = options;
+  rerun.cache_dir = dir;
+  rerun.metrics = &metrics;
+  auto resumed = Pipeline(&encoder_, rerun)
                      .Run(scenario_.set, matcher_, &scenario_.truth);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_EQ(resumed->phases_resumed, 2u);
-  EXPECT_EQ(metrics.GetCounter("pipeline.phases_resumed").value(), 2u);
+  EXPECT_EQ(metrics.GetCounter("cache.hits").value(),
+            2 * scenario_.set.num_schemas());
+  EXPECT_EQ(resumed->signatures.signatures.data(),
+            gold->signatures.signatures.data());
   EXPECT_EQ(resumed->keep, gold->keep);
   EXPECT_EQ(resumed->linkages, gold->linkages);
-  // The signatures restored from disk are bit-identical to recomputed.
-  for (size_t i = 0; i < gold->signatures.size(); ++i) {
-    EXPECT_EQ(resumed->signatures.signatures.Row(i),
-              gold->signatures.signatures.Row(i));
-  }
-  std::filesystem::remove_all(dir);
-}
-
-TEST_F(PipelineApiTest, ResumeIgnoresCheckpointsFromDifferentConfig) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "colscope_stale_cfg")
-          .string();
-  std::filesystem::remove_all(dir);
-  PipelineOptions first;
-  first.explained_variance = 0.5;
-  first.checkpoint_dir = dir;
-  ASSERT_TRUE(
-      Pipeline(&encoder_, first).Run(scenario_.set, matcher_).ok());
-
-  // Same directory, different explained variance: the fingerprint
-  // differs, so nothing must be resumed.
-  PipelineOptions second = first;
-  second.explained_variance = 0.9;
-  second.resume = true;
-  auto run = Pipeline(&encoder_, second).Run(scenario_.set, matcher_);
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_EQ(run->phases_resumed, 0u);
+  resumed->metrics.reset();
+  EXPECT_EQ(RunToJson(*resumed, scenario_.set),
+            RunToJson(*gold, scenario_.set));
   std::filesystem::remove_all(dir);
 }
 

@@ -2,83 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "datasets/toy.h"
-#include "embed/hashed_encoder.h"
-#include "scoping/model_io.h"
-#include "scoping/collaborative.h"
-#include "scoping/signatures.h"
-
 namespace colscope::scoping {
 namespace {
-
-SignatureSet BuildToySignatures() {
-  const auto scenario = datasets::BuildToyScenario();
-  const embed::HashedLexiconEncoder encoder;
-  return BuildSignatures(scenario.set, encoder);
-}
-
-TEST(SignatureSetIoTest, RoundTripsExactly) {
-  const SignatureSet original = BuildToySignatures();
-  const std::string text = SerializeSignatureSet(original);
-  Result<SignatureSet> restored = DeserializeSignatureSet(text);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  ASSERT_EQ(restored->size(), original.size());
-  ASSERT_EQ(restored->signatures.cols(), original.signatures.cols());
-  for (size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ(restored->refs[i].schema, original.refs[i].schema);
-    EXPECT_EQ(restored->refs[i].table, original.refs[i].table);
-    EXPECT_EQ(restored->refs[i].attribute, original.refs[i].attribute);
-    EXPECT_EQ(restored->texts[i], original.texts[i]);
-    // Bit-exact doubles: the byte-identical-resume guarantee needs it.
-    EXPECT_EQ(restored->signatures.Row(i), original.signatures.Row(i));
-  }
-  // Re-serializing the restored set reproduces the bytes.
-  EXPECT_EQ(SerializeSignatureSet(*restored), text);
-}
-
-TEST(SignatureSetIoTest, RoundTripsTextsWithNewlinesAndBackslashes) {
-  SignatureSet set;
-  set.refs.push_back({0, 0, -1});
-  set.texts.push_back("line one\nline\\two\rcarriage");
-  set.signatures = linalg::Matrix(1, 2);
-  set.signatures.SetRow(0, linalg::Vector{1.5, -2.25});
-  Result<SignatureSet> restored =
-      DeserializeSignatureSet(SerializeSignatureSet(set));
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored->texts[0], set.texts[0]);
-}
-
-TEST(SignatureSetIoTest, RejectsMissingHeader) {
-  EXPECT_FALSE(DeserializeSignatureSet("elements 0\ndims 0\n").ok());
-}
-
-TEST(SignatureSetIoTest, RejectsCountMismatch) {
-  const SignatureSet original = BuildToySignatures();
-  std::string text = SerializeSignatureSet(original);
-  // Drop the last line (a row), leaving fewer rows than declared.
-  text.erase(text.find_last_of('\n', text.size() - 2) + 1);
-  EXPECT_FALSE(DeserializeSignatureSet(text).ok());
-}
-
-TEST(SignatureSetIoTest, RejectsHugeDeclaredShape) {
-  EXPECT_FALSE(DeserializeSignatureSet("colscope-signature-set v1\n"
-                                       "elements 9999999999999\ndims 4\n")
-                   .ok());
-  EXPECT_FALSE(DeserializeSignatureSet("colscope-signature-set v1\n"
-                                       "elements 1048576\ndims 1048576\n")
-                   .ok());
-}
-
-TEST(SignatureSetIoTest, RejectsNonFiniteValues) {
-  EXPECT_FALSE(DeserializeSignatureSet("colscope-signature-set v1\n"
-                                       "elements 1\ndims 1\nref 0 0 -1\n"
-                                       "text x\nrow nan\n")
-                   .ok());
-  EXPECT_FALSE(DeserializeSignatureSet("colscope-signature-set v1\n"
-                                       "elements 1\ndims 1\nref 0 0 -1\n"
-                                       "text x\nrow inf\n")
-                   .ok());
-}
 
 TEST(KeepMaskIoTest, RoundTrips) {
   const std::vector<bool> keep = {true, false, true, true, false};
@@ -110,42 +35,6 @@ TEST(KeepMaskIoTest, RejectsNonBinaryBits) {
 TEST(KeepMaskIoTest, RejectsTrailingGarbage) {
   EXPECT_FALSE(DeserializeKeepMask(
                    "colscope-keep-mask v1\nelements 1\nmask 1\nextra\n")
-                   .ok());
-}
-
-TEST(ModelSetIoTest, RoundTripsFittedModels) {
-  const SignatureSet signatures = BuildToySignatures();
-  Result<std::vector<LocalModel>> models =
-      FitLocalModels(signatures, 4, 0.7);
-  ASSERT_TRUE(models.ok());
-  const std::string text = SerializeLocalModelSet(*models);
-  Result<std::vector<LocalModel>> restored =
-      DeserializeLocalModelSet(text);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  ASSERT_EQ(restored->size(), models->size());
-  for (size_t s = 0; s < models->size(); ++s) {
-    EXPECT_EQ((*restored)[s].schema_index(), (*models)[s].schema_index());
-    EXPECT_EQ((*restored)[s].linkability_range(),
-              (*models)[s].linkability_range());
-  }
-  EXPECT_EQ(SerializeLocalModelSet(*restored), text);
-}
-
-TEST(ModelSetIoTest, RejectsDeclaredCountMismatch) {
-  const SignatureSet signatures = BuildToySignatures();
-  Result<std::vector<LocalModel>> models =
-      FitLocalModels(signatures, 4, 0.7);
-  ASSERT_TRUE(models.ok());
-  std::string text = SerializeLocalModelSet(*models);
-  const size_t at = text.find("models 4");
-  ASSERT_NE(at, std::string::npos);
-  text.replace(at, 8, "models 3");
-  EXPECT_FALSE(DeserializeLocalModelSet(text).ok());
-}
-
-TEST(ModelSetIoTest, RejectsGarbageBeforeFirstModel) {
-  EXPECT_FALSE(DeserializeLocalModelSet(
-                   "colscope-model-set v1\nmodels 0\nstray line\n")
                    .ok());
 }
 

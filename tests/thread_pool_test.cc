@@ -134,8 +134,9 @@ TEST(ParallelFitTest, MatchesSequentialFit) {
   const auto signatures =
       scoping::BuildSignatures(scenario.set, encoder);
   const auto sequential = scoping::FitLocalModels(signatures, 4, 0.7);
+  ThreadPool pool(3);
   const auto parallel =
-      scoping::FitLocalModelsParallel(signatures, 4, 0.7, 3);
+      scoping::FitLocalModelsOnPool(signatures, 4, 0.7, pool);
   ASSERT_TRUE(sequential.ok());
   ASSERT_TRUE(parallel.ok());
   ASSERT_EQ(sequential->size(), parallel->size());
@@ -154,8 +155,39 @@ TEST(ParallelFitTest, MatchesSequentialFit) {
 TEST(ParallelFitTest, PropagatesFitErrors) {
   // An empty schema must surface as an error, not a crash.
   scoping::SignatureSet empty;
-  const auto result = scoping::FitLocalModelsParallel(empty, 1, 0.5, 2);
-  EXPECT_FALSE(result.ok());
+  ThreadPool pool(2);
+  EXPECT_FALSE(scoping::FitLocalModelsOnPool(empty, 1, 0.5, pool).ok());
+  EXPECT_FALSE(scoping::FitLocalModelsOf(empty, {0, 0}, 0.5, &pool, nullptr)
+                   .ok());
+}
+
+TEST(ParallelFitTest, SerialFitHonoursCancellation) {
+  auto scenario = datasets::BuildToyScenario();
+  embed::HashedLexiconEncoder encoder;
+  const auto signatures = scoping::BuildSignatures(scenario.set, encoder);
+  CancellationToken cancel;
+  cancel.Cancel();
+  const auto result = scoping::FitLocalModelsOf(signatures, {0, 1, 2, 3},
+                                                0.7, nullptr, &cancel);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+}
+
+TEST(ParallelFitTest, FitsOnlyTheListedSchemasInListOrder) {
+  auto scenario = datasets::BuildToyScenario();
+  embed::HashedLexiconEncoder encoder;
+  const auto signatures = scoping::BuildSignatures(scenario.set, encoder);
+  const auto all = scoping::FitLocalModels(signatures, 4, 0.7);
+  ThreadPool pool(2);
+  const auto subset =
+      scoping::FitLocalModelsOf(signatures, {3, 1}, 0.7, &pool, nullptr);
+  ASSERT_TRUE(all.ok());
+  ASSERT_TRUE(subset.ok());
+  ASSERT_EQ(subset->size(), 2u);
+  EXPECT_EQ((*subset)[0].schema_index(), 3);
+  EXPECT_EQ((*subset)[1].schema_index(), 1);
+  EXPECT_EQ((*subset)[0].linkability_range(), (*all)[3].linkability_range());
+  EXPECT_EQ((*subset)[1].linkability_range(), (*all)[1].linkability_range());
 }
 
 }  // namespace

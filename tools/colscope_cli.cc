@@ -96,11 +96,9 @@ struct CliArgs {
   std::string trace_clock = "real";  // --trace-clock real|sim
   double deadline_ms = 0.0;     // --deadline-ms 5000 (<= 0: none)
   std::string run_clock = "real";    // --run-clock real|sim
-  std::string checkpoint_dir;   // --checkpoint-dir DIR
-  bool resume = false;          // --resume (with --checkpoint-dir)
   std::string cache_dir;        // --cache-dir DIR
   uint64_t cache_max_bytes = 0;  // --cache-max-bytes N (0 = unbounded)
-  std::string crash_after;      // --crash-after signatures|local_models|...
+  std::string crash_after;      // --crash-after PHASE (test hook)
   size_t threads = 1;           // --threads N (1 = serial, 0 = hardware)
   std::string kernels;          // --kernels scalar|native ("" = auto)
   bool quantized = false;       // --quantized (int8 prefilter for lsh/tbsim)
@@ -154,9 +152,10 @@ int Usage() {
                "  [--metrics-out FILE.json] [--trace-out FILE.json]\n"
                "  [--trace-clock real|sim]\n"
                "  [--deadline-ms MS] [--run-clock real|sim]\n"
-               "  [--checkpoint-dir DIR] [--resume]\n"
                "  [--cache-dir DIR] [--cache-max-bytes N]\n"
-               "  [--crash-after signatures|local_models|keep_mask]\n"
+               "  [--crash-after PHASE]  (test hook: signatures|local_models|"
+               "keep_mask|\n"
+               "      streamline|match|evaluate)\n"
                "  [--threads N]  (1 = serial, 0 = hardware concurrency; "
                "output is identical at any N)\n"
                "  [--kernels scalar|native]  (span-kernel dispatch; output "
@@ -277,12 +276,6 @@ bool ParseArgs(int argc, char** argv, CliArgs& args) {
       const char* value = next();
       if (value == nullptr) return false;
       args.run_clock = value;
-    } else if (flag == "--checkpoint-dir") {
-      const char* value = next();
-      if (value == nullptr) return false;
-      args.checkpoint_dir = value;
-    } else if (flag == "--resume") {
-      args.resume = true;
     } else if (flag == "--cache-dir") {
       const char* value = next();
       if (value == nullptr) return false;
@@ -1203,10 +1196,10 @@ int RunPipeline(const CliArgs& args) {
   options.explained_variance = args.v;
   options.keep_portion = args.keep_portion;
 
-  // Robustness controls: deadline on the chosen run clock, checkpoint
-  // directory, resume, and the crash-injection test hook. The simulated
-  // run clock advances 1ms per observation, so deadline exhaustion (and
-  // therefore the partial report) is byte-reproducible in tests.
+  // Robustness controls: deadline on the chosen run clock and the
+  // crash-injection test hook. The simulated run clock advances 1ms per
+  // observation, so deadline exhaustion (and therefore the partial
+  // report) is byte-reproducible in tests.
   if (args.run_clock != "real" && args.run_clock != "sim") {
     std::fprintf(stderr, "unknown run clock (want real|sim): %s\n",
                  args.run_clock.c_str());
@@ -1217,13 +1210,13 @@ int RunPipeline(const CliArgs& args) {
   if (args.run_clock == "sim") options.clock = &sim_run_clock;
   else options.clock = &real_run_clock;
   options.deadline_ms = args.deadline_ms;
-  options.checkpoint_dir = args.checkpoint_dir;
-  options.resume = args.resume;
-  options.crash_after_phase = args.crash_after;
-  if (args.resume && args.checkpoint_dir.empty()) {
-    std::fprintf(stderr, "--resume requires --checkpoint-dir\n");
+  if (!args.crash_after.empty() &&
+      !pipeline::IsPipelinePhase(args.crash_after)) {
+    std::fprintf(stderr, "--crash-after: unknown phase: %s\n",
+                 args.crash_after.c_str());
     return 2;
   }
+  options.crash_after_phase = args.crash_after;
   options.cache_dir = args.cache_dir;
   options.cache_max_bytes = args.cache_max_bytes;
   if (args.cache_max_bytes != 0 && args.cache_dir.empty()) {
@@ -1318,15 +1311,10 @@ int RunPipeline(const CliArgs& args) {
     std::printf("# linkability assessment (%s, v=%.2f)\n",
                 args.scoper.c_str(), args.v);
     if (args.explain && args.scoper == "pca") {
-      // Full audit: every foreign model's verdict per element.
-      auto models = scoping::FitLocalModels(run->signatures,
-                                            set->num_schemas(), args.v);
-      if (!models.ok()) {
-        std::fprintf(stderr, "%s\n", models.status().ToString().c_str());
-        return 1;
-      }
+      // Full audit: every foreign model's verdict per element, over the
+      // models the run fitted (or restored from the cache).
       const auto explanations =
-          scoping::ExplainLinkability(run->signatures, *models);
+          scoping::ExplainLinkability(run->signatures, run->local_models);
       for (const auto& explanation : explanations) {
         std::printf("%s\n",
                     scoping::FormatExplanation(explanation, *set).c_str());

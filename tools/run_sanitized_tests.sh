@@ -2,9 +2,10 @@
 # Builds the robustness-focused tests under three sanitizer configs and
 # runs them:
 #   1. ASan + UBSan over the deserialization/exchange robustness tests
-#      (memory safety of the untrusted-input paths) plus the SIMD/int8
-#      kernel equivalence battery (unaligned loads, padded quantized
-#      stores — exactly what ASan is for);
+#      (memory safety of the untrusted-input paths) — including the
+#      artifact-cache reader, the one way a run recovers state from
+#      disk — plus the SIMD/int8 kernel equivalence battery (unaligned
+#      loads, padded quantized stores — exactly what ASan is for);
 #   2. TSan over the concurrency-facing tests (thread pool, metrics
 #      registry, cancellation tokens) — races, not leaks.
 # Usage: run_sanitized_tests.sh [BUILD_DIR_PREFIX]
@@ -13,7 +14,7 @@ set -e
 root="$(cd "$(dirname "$0")/.." && pwd)"
 build="${1:-$root/build-sanitized}"
 
-asan_tests='exchange_test|model_corruption_test|model_io_test|robustness_test|simd_kernels_test'
+asan_tests='exchange_test|model_corruption_test|model_io_test|robustness_test|simd_kernels_test|cache_test|pipeline_test'
 tsan_tests='thread_pool_test|obs_test|cancellation_test|parallel_paths_test'
 
 # Compile through ccache when it is installed (the CI jobs restore a
@@ -29,7 +30,7 @@ cmake -B "$build" -S "$root" $launcher_flags \
   -DCOLSCOPE_ASAN=ON -DCOLSCOPE_UBSAN=ON
 cmake --build "$build" -j \
   --target exchange_test model_corruption_test model_io_test robustness_test \
-  simd_kernels_test
+  simd_kernels_test cache_test pipeline_test
 (cd "$build" && ctest --output-on-failure -R "^($asan_tests)\$")
 
 # shellcheck disable=SC2086
