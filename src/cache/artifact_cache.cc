@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/checksum.h"
+#include "common/parse.h"
 #include "common/strings.h"
 #include "obs/log.h"
 
@@ -40,19 +41,6 @@ bool ParseHex64(std::string_view token, uint64_t& out) {
       return false;
     }
     value = (value << 4) | static_cast<uint64_t>(digit);
-  }
-  out = value;
-  return true;
-}
-
-bool ParseU64(const std::string& token, uint64_t& out) {
-  if (token.empty()) return false;
-  uint64_t value = 0;
-  for (char c : token) {
-    if (c < '0' || c > '9') return false;
-    const uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) return false;
-    value = value * 10 + digit;
   }
   out = value;
   return true;
@@ -215,7 +203,7 @@ Result<std::string> ArtifactCache::Get(const CacheKey& key) {
     return miss("cache.corrupt", "missing bytes line");
   }
   uint64_t declared_bytes = 0;
-  if (!ParseU64(std::string(StripAsciiWhitespace(line.substr(6))),
+  if (!ParseUint64(std::string(StripAsciiWhitespace(line.substr(6))),
                 declared_bytes) ||
       declared_bytes > kMaxPayloadBytes) {
     return miss("cache.corrupt", "malformed byte count");

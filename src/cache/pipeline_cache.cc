@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/checksum.h"
+#include "common/parse.h"
 #include "common/strings.h"
 #include "obs/log.h"
 #include "obs/trace.h"
@@ -30,7 +31,7 @@ bool ExpectSizeLine(std::istream& in, std::string_view key, size_t& out) {
   const std::vector<std::string> tokens =
       SplitString(StripAsciiWhitespace(line), " \t");
   return tokens.size() == 2 && tokens[0] == key &&
-         scoping::io::ParseSize(tokens[1], out);
+         ParseSize(tokens[1], out);
 }
 
 /// Parses a table/attribute index: a non-negative decimal or exactly
@@ -41,7 +42,7 @@ bool ParseRefIndex(const std::string& token, int& out) {
     return true;
   }
   size_t value = 0;
-  if (!scoping::io::ParseSize(token, value) || value > size_t{1} << 30) {
+  if (!ParseSize(token, value) || value > size_t{1} << 30) {
     return false;
   }
   out = static_cast<int>(value);

@@ -1,32 +1,12 @@
 #include "common/fault_injector.h"
 
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
-
+#include "common/parse.h"
 #include "common/rng.h"
 #include "common/strings.h"
 
 namespace colscope {
 
 namespace {
-
-/// Strict double parse (no trailing garbage, finite).
-bool ParseFiniteDouble(const std::string& token, double& out) {
-  errno = 0;
-  char* end = nullptr;
-  out = std::strtod(token.c_str(), &end);
-  return errno == 0 && end != nullptr && *end == '\0' &&
-         end != token.c_str() && std::isfinite(out);
-}
-
-bool ParseUint64(const std::string& token, uint64_t& out) {
-  if (token.empty() || token[0] == '-' || token[0] == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  out = std::strtoull(token.c_str(), &end, 10);
-  return errno == 0 && end != nullptr && *end == '\0';
-}
 
 Status SetProbability(const std::string& key, const std::string& value,
                       double& slot) {

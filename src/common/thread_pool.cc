@@ -1,21 +1,10 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <chrono>
 
 namespace colscope {
 
-namespace {
-
-double ElapsedUs(std::chrono::steady_clock::time_point from,
-                 std::chrono::steady_clock::time_point to) {
-  return std::chrono::duration<double, std::micro>(to - from).count();
-}
-
-}  // namespace
-
-ThreadPool::ThreadPool(size_t num_threads, ThreadPoolObserver* observer)
-    : observer_(observer) {
+ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) {
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
@@ -35,28 +24,12 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Schedule(std::function<void()> task) {
-  if (observer_ != nullptr) {
-    // Timing only exists on the instrumented path; the common case pays
-    // one predicted branch.
-    ThreadPoolObserver* observer = observer_;
-    const auto enqueued = std::chrono::steady_clock::now();
-    task = [task = std::move(task), observer, enqueued] {
-      const auto started = std::chrono::steady_clock::now();
-      task();
-      const auto finished = std::chrono::steady_clock::now();
-      observer->OnTaskDone(ElapsedUs(enqueued, started),
-                           ElapsedUs(started, finished));
-    };
-  }
-  size_t depth;
   {
     std::unique_lock<std::mutex> lock(mu_);
     queue_.push(std::move(task));
     ++in_flight_;
-    depth = queue_.size();
   }
   work_available_.notify_one();
-  if (observer_ != nullptr) observer_->OnScheduled(depth);
 }
 
 void ThreadPool::Wait() {

@@ -14,32 +14,14 @@
 
 namespace colscope {
 
-/// Instrumentation hooks of a ThreadPool. Implementations must be
-/// thread-safe: OnScheduled runs on the scheduling thread, OnTaskDone on
-/// whichever worker finished the task. Defined here (not in obs/) so
-/// common stays dependency-free; obs::ThreadPoolMetrics adapts these
-/// hooks onto a MetricsRegistry.
-class ThreadPoolObserver {
- public:
-  virtual ~ThreadPoolObserver() = default;
-  /// A task was enqueued; `queue_depth` is the queue size right after.
-  virtual void OnScheduled(size_t queue_depth) = 0;
-  /// A task finished after waiting `queue_wait_us` in the queue and
-  /// running for `run_us`.
-  virtual void OnTaskDone(double queue_wait_us, double run_us) = 0;
-};
-
 /// Minimal fixed-size thread pool. Used for the embarrassingly parallel
 /// stages the paper points out ("the computation of the self-supervised
 /// encoder-decoder and linkability assessment takes place in parallel at
 /// each local schema", Section 3). Destruction waits for queued work.
 class ThreadPool {
  public:
-  /// `num_threads` 0 picks the hardware concurrency (at least 1). The
-  /// optional observer is borrowed, must outlive the pool, and costs
-  /// nothing when null (one predicted branch per Schedule).
-  explicit ThreadPool(size_t num_threads = 0,
-                      ThreadPoolObserver* observer = nullptr);
+  /// `num_threads` 0 picks the hardware concurrency (at least 1).
+  explicit ThreadPool(size_t num_threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -69,7 +51,6 @@ class ThreadPool {
   void WorkerLoop();
 
   std::vector<std::thread> threads_;
-  ThreadPoolObserver* observer_;
   std::mutex mu_;
   std::condition_variable work_available_;
   std::condition_variable work_done_;

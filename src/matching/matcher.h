@@ -1,12 +1,18 @@
 #ifndef COLSCOPE_MATCHING_MATCHER_H_
 #define COLSCOPE_MATCHING_MATCHER_H_
 
+#include <cstddef>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "scoping/signatures.h"
+
+namespace colscope {
+class ThreadPool;
+}  // namespace colscope
 
 namespace colscope::matching {
 
@@ -54,6 +60,23 @@ class Matcher {
 /// schemas, same element kind.
 bool IsCandidate(const scoping::SignatureSet& signatures,
                  const std::vector<bool>& active, size_t i, size_t j);
+
+/// A matcher by name, with the CLI flags' parameter defaults; the cold
+/// CLI and colscoped both build their matcher from one.
+struct MatcherSpec {
+  std::string name = "sim";  ///< sim|cluster|lsh|tbsim|str|ivf.
+  double param = -1.0;       ///< < 0 = the matcher's default.
+  /// IvfMatcher::Options knobs; quantized also applies to lsh and tbsim.
+  size_t nprobe = 8;
+  size_t num_lists = 0;
+  bool quantized = false;
+  bool token_prefilter = false;
+};
+
+/// The named matcher, or null for an unknown name. `pool` (may be null)
+/// parallelizes the matchers that support it without changing output.
+std::unique_ptr<Matcher> MakeMatcher(const MatcherSpec& spec,
+                                     ThreadPool* pool = nullptr);
 
 }  // namespace colscope::matching
 

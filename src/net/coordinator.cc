@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/strings.h"
+#include "net/rpc.h"
 #include "net/tcp_transport.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
@@ -14,26 +15,6 @@
 namespace colscope::net {
 
 namespace {
-
-/// One request/response round trip on a fresh connection, observed into
-/// net.rpc_ms.<type> (connect through reply, failures included). A
-/// kError reply is unwrapped into its carried status.
-Result<Frame> Call(const Endpoint& endpoint, FrameType type,
-                   const std::string& payload, const NetOptions& net) {
-  const double start_ms = NetNowMs(net);
-  Result<Frame> reply = [&]() -> Result<Frame> {
-    Result<Socket> socket = Socket::Connect(endpoint, net);
-    if (!socket.ok()) return socket.status();
-    Status sent = socket->SendFrame(type, payload, net);
-    if (!sent.ok()) return sent;
-    return socket->RecvFrame(net);
-  }();
-  ObserveRpcLatency(net, type, NetNowMs(net) - start_ms);
-  if (reply.ok() && reply->type == FrameType::kError) {
-    return DecodeErrorPayload(reply->payload);
-  }
-  return reply;
-}
 
 /// Flight-recorder label of one RPC round outcome: "ok", the status code
 /// name, or "unexpected_reply" — never messages (they can embed ports).

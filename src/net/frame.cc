@@ -51,7 +51,7 @@ uint64_t GetU64(std::string_view bytes, size_t at) {
 
 bool IsKnownFrameType(uint8_t value) {
   return value >= static_cast<uint8_t>(FrameType::kAssign) &&
-         value <= static_cast<uint8_t>(FrameType::kHealth);
+         value <= static_cast<uint8_t>(FrameType::kScopeResponse);
 }
 
 const char* FrameTypeToString(FrameType type) {
@@ -82,8 +82,6 @@ const char* FrameTypeToString(FrameType type) {
       return "scope_request";
     case FrameType::kScopeResponse:
       return "scope_response";
-    case FrameType::kHealth:
-      return "health";
   }
   return "unknown";
 }

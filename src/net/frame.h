@@ -11,7 +11,8 @@
 namespace colscope::net {
 
 /// Message kinds of the coordinator/worker protocol (docs/DISTRIBUTED.md).
-/// Values are part of the wire format — append, never renumber.
+/// Values are part of the wire format — append, never renumber. 14 is
+/// retired: an older peer may still send it, so it must stay unknown.
 enum class FrameType : uint8_t {
   kAssign = 1,       ///< coordinator -> worker: shard + exchange config.
   kAssignAck = 2,    ///< worker -> coordinator: models fitted + published.
@@ -26,7 +27,6 @@ enum class FrameType : uint8_t {
   kStats = 11,        ///< worker -> coordinator: serialized WorkerTelemetry.
   kScopeRequest = 12, ///< client -> colscoped: run a scoping/matching job.
   kScopeResponse = 13,///< colscoped -> client: the pipeline's JSON report.
-  kHealth = 14,       ///< both ways: empty = probe, non-empty = health info.
 };
 
 /// True for values that map onto a FrameType member.

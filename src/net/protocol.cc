@@ -1,10 +1,8 @@
 #include "net/protocol.h"
 
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
 #include <sstream>
 
+#include "common/parse.h"
 #include "common/strings.h"
 
 namespace colscope::net {
@@ -17,32 +15,6 @@ constexpr size_t kMaxSchemas = 4096;
 constexpr size_t kMaxRowsPerSchema = 1u << 20;
 constexpr size_t kMaxFetchRecords = kMaxSchemas * 64;
 
-bool ParseFiniteDouble(const std::string& token, double& out) {
-  errno = 0;
-  char* end = nullptr;
-  out = std::strtod(token.c_str(), &end);
-  return errno == 0 && end != nullptr && *end == '\0' &&
-         end != token.c_str() && std::isfinite(out);
-}
-
-bool ParseInt(const std::string& token, long long min, long long max,
-              long long& out) {
-  if (token.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  out = std::strtoll(token.c_str(), &end, 10);
-  return errno == 0 && end != nullptr && *end == '\0' && out >= min &&
-         out <= max;
-}
-
-bool ParseUint64(const std::string& token, uint64_t& out) {
-  if (token.empty() || token[0] == '-' || token[0] == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  out = std::strtoull(token.c_str(), &end, 10);
-  return errno == 0 && end != nullptr && *end == '\0';
-}
-
 Result<FaultKind> FaultKindFromString(const std::string& name) {
   for (size_t kind = 0; kind < kNumFaultKinds; ++kind) {
     if (name == FaultKindToString(static_cast<FaultKind>(kind))) {
@@ -50,11 +22,6 @@ Result<FaultKind> FaultKindFromString(const std::string& name) {
     }
   }
   return Status::InvalidArgument("unknown fault kind: " + name);
-}
-
-/// Splits one line into whitespace tokens.
-std::vector<std::string> Tokens(const std::string& line) {
-  return SplitString(line, " \t");
 }
 
 Status Malformed(const char* what, const std::string& line) {
@@ -118,7 +85,7 @@ Result<AssignConfig> DecodeAssign(const std::string& payload) {
       saw_end = true;
       break;
     }
-    const std::vector<std::string> tokens = Tokens(line);
+    const std::vector<std::string> tokens = TokenizeLine(line);
     if (tokens.empty()) return Malformed("assign", line);
     long long n = 0;
     if (tokens[0] == "num_schemas" && tokens.size() == 2) {
@@ -234,7 +201,7 @@ std::string EncodeGetModel(const GetModelRequest& request) {
 }
 
 Result<GetModelRequest> DecodeGetModel(const std::string& payload) {
-  const std::vector<std::string> tokens = Tokens(payload);
+  const std::vector<std::string> tokens = TokenizeLine(payload);
   long long publisher = 0, consumer = 0, attempt = 0;
   if ((tokens.size() != 4 && tokens.size() != 6) || tokens[0] != "get" ||
       !ParseInt(tokens[1], 0, static_cast<long long>(kMaxSchemas),
@@ -267,7 +234,7 @@ std::string EncodeAssess(const AssessRequest& request) {
 Result<AssessRequest> DecodeAssess(const std::string& payload) {
   AssessRequest request;
   if (payload.empty()) return request;  // v1 assess frames: no payload.
-  const std::vector<std::string> tokens = Tokens(payload);
+  const std::vector<std::string> tokens = TokenizeLine(payload);
   if (tokens.size() != 3 || tokens[0] != "assess" ||
       !ParseUint64(tokens[1], request.trace.trace_id) ||
       !ParseUint64(tokens[2], request.trace.parent_span)) {
@@ -343,7 +310,7 @@ Result<PartialResult> DecodePartial(const std::string& payload) {
       saw_end = true;
       break;
     }
-    const std::vector<std::string> tokens = Tokens(line);
+    const std::vector<std::string> tokens = TokenizeLine(line);
     if (tokens.empty()) return Malformed("partial", line);
     long long n = 0;
     if (tokens[0] == "consumers" && tokens.size() == 2) {

@@ -15,6 +15,7 @@
 #include <utility>
 
 #include "common/checksum.h"
+#include "common/parse.h"
 #include "common/strings.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -145,12 +146,8 @@ Result<Endpoint> ParseEndpoint(const std::string& spec) {
   }
   Endpoint endpoint;
   endpoint.host = spec.substr(0, colon);
-  const std::string port_text = spec.substr(colon + 1);
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long port = std::strtoul(port_text.c_str(), &end, 10);
-  if (errno != 0 || end == port_text.c_str() || *end != '\0' ||
-      port > 65535) {
+  long long port = 0;
+  if (!ParseInt(spec.substr(colon + 1), 0, 65535, port)) {
     return Status::InvalidArgument("malformed endpoint port: " + spec);
   }
   endpoint.port = static_cast<uint16_t>(port);

@@ -1,10 +1,9 @@
 #include "net/telemetry.h"
 
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
+#include <climits>
 #include <sstream>
 
+#include "common/parse.h"
 #include "common/strings.h"
 
 namespace colscope::net {
@@ -20,30 +19,6 @@ constexpr size_t kMaxTraceEvents = 65536;
 constexpr size_t kMaxSpanArgs = 64;
 constexpr size_t kMaxNameBytes = 4096;
 constexpr size_t kMaxThreads = 4096;
-
-bool ParseFiniteDouble(const std::string& token, double& out) {
-  errno = 0;
-  char* end = nullptr;
-  out = std::strtod(token.c_str(), &end);
-  return errno == 0 && end != nullptr && *end == '\0' &&
-         end != token.c_str() && std::isfinite(out);
-}
-
-bool ParseU64(const std::string& token, uint64_t& out) {
-  if (token.empty() || token[0] == '-' || token[0] == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  out = std::strtoull(token.c_str(), &end, 10);
-  return errno == 0 && end != nullptr && *end == '\0';
-}
-
-bool ParseI64(const std::string& token, long long& out) {
-  if (token.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  out = std::strtoll(token.c_str(), &end, 10);
-  return errno == 0 && end != nullptr && *end == '\0';
-}
 
 Status Malformed(const char* what, const std::string& line) {
   return Status::InvalidArgument(
@@ -154,15 +129,15 @@ Result<WorkerTelemetry> DecodeStats(const std::string& payload) {
       saw_end = true;
       break;
     }
-    const std::vector<std::string> tokens = SplitString(line, " \t");
+    const std::vector<std::string> tokens = TokenizeLine(line);
     if (tokens.empty()) return Malformed("stats", line);
     if (tokens[0] == "trace_id" && tokens.size() == 2) {
-      if (!ParseU64(tokens[1], telemetry.trace_id)) {
+      if (!ParseUint64(tokens[1], telemetry.trace_id)) {
         return Malformed("trace_id", line);
       }
     } else if (tokens[0] == "thread" && tokens.size() == 3) {
       uint64_t tid = 0;
-      if (!ParseU64(tokens[1], tid) || tid >= kMaxThreads ||
+      if (!ParseUint64(tokens[1], tid) || tid >= kMaxThreads ||
           tid != telemetry.thread_names.size() ||
           tokens[2].size() > kMaxNameBytes) {
         return Malformed("thread", line);
@@ -172,7 +147,7 @@ Result<WorkerTelemetry> DecodeStats(const std::string& payload) {
       telemetry.thread_names.push_back(std::move(name).value());
     } else if (tokens[0] == "counter" && tokens.size() == 3) {
       uint64_t value = 0;
-      if (tokens[1].size() > kMaxNameBytes || !ParseU64(tokens[2], value) ||
+      if (tokens[1].size() > kMaxNameBytes || !ParseUint64(tokens[2], value) ||
           telemetry.metrics.counters.size() >= kMaxMetricEntries) {
         return Malformed("counter", line);
       }
@@ -198,9 +173,9 @@ Result<WorkerTelemetry> DecodeStats(const std::string& payload) {
       if (!name.ok()) return name.status();
       obs::Histogram::Snapshot hist;
       uint64_t bounds = 0;
-      if (!ParseU64(tokens[2], hist.total_count) ||
+      if (!ParseUint64(tokens[2], hist.total_count) ||
           !ParseFiniteDouble(tokens[3], hist.sum) ||
-          !ParseU64(tokens[4], bounds) || bounds > kMaxHistogramBounds) {
+          !ParseUint64(tokens[4], bounds) || bounds > kMaxHistogramBounds) {
         return Malformed("hist", line);
       }
       // nbounds finite edges followed by nbounds+1 bucket counts.
@@ -218,7 +193,7 @@ Result<WorkerTelemetry> DecodeStats(const std::string& payload) {
       hist.counts.reserve(bounds + 1);
       for (size_t i = 0; i <= bounds; ++i) {
         uint64_t count = 0;
-        if (!ParseU64(tokens[5 + bounds + i], count)) {
+        if (!ParseUint64(tokens[5 + bounds + i], count)) {
           return Malformed("hist count", line);
         }
         hist.counts.push_back(count);
@@ -238,11 +213,11 @@ Result<WorkerTelemetry> DecodeStats(const std::string& payload) {
       uint64_t args = 0;
       if (!ParseFiniteDouble(tokens[2], event.ts_us) ||
           !ParseFiniteDouble(tokens[3], event.dur_us) ||
-          !ParseI64(tokens[4], tid) || tid < 0 ||
-          tid >= static_cast<long long>(kMaxThreads) ||
-          !ParseU64(tokens[5], event.span_id) ||
-          !ParseU64(tokens[6], event.parent_span_id) ||
-          !ParseU64(tokens[7], args) || args > kMaxSpanArgs) {
+          !ParseInt(tokens[4], 0, static_cast<long long>(kMaxThreads) - 1,
+                    tid) ||
+          !ParseUint64(tokens[5], event.span_id) ||
+          !ParseUint64(tokens[6], event.parent_span_id) ||
+          !ParseUint64(tokens[7], args) || args > kMaxSpanArgs) {
         return Malformed("event", line);
       }
       event.tid = static_cast<int>(tid);
@@ -254,7 +229,7 @@ Result<WorkerTelemetry> DecodeStats(const std::string& payload) {
         Result<std::string> key = DecodeStatsToken(key_token);
         if (!key.ok()) return key.status();
         long long value = 0;
-        if (!ParseI64(tokens[9 + 2 * i], value)) {
+        if (!ParseInt(tokens[9 + 2 * i], LLONG_MIN, LLONG_MAX, value)) {
           return Malformed("event arg", line);
         }
         event.args.emplace_back(std::move(key).value(), value);

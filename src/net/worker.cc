@@ -4,15 +4,13 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <cstdio>
-#include <fstream>
 #include <thread>
 #include <utility>
 
 #include "common/strings.h"
 #include "exchange/exchange.h"
+#include "net/rpc.h"
 #include "net/tcp_transport.h"
-#include "net/telemetry.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
 #include "obs/trace.h"
@@ -39,31 +37,21 @@ namespace {
 
 using State = WorkerServer::State;
 
-/// Writes `port` to `path` atomically (tmp + rename) so a polling test
-/// harness never observes a half-written number.
-Status WritePortFile(const std::string& path, uint16_t port) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      return Status::Internal("cannot open port file: " + tmp);
-    }
-    out << port << "\n";
-    if (!out.flush()) {
-      return Status::Internal("cannot write port file: " + tmp);
-    }
+/// Adopts the run's trace context on this handler thread: every span the
+/// worker records from here on shares the coordinator's trace id. The
+/// assign and assess handlers are the only worker paths that touch the
+/// tracer (and through it the trace clock) — the coordinator drives them
+/// strictly sequentially, which is what keeps harvested traces
+/// byte-reproducible under SimulatedTraceClock. Returns the tracer (may
+/// be null).
+obs::Tracer* AdoptTrace(State& state, const TraceContext& trace,
+                        const char* thread_name) {
+  obs::Tracer* tracer = state.options.net.tracer;
+  if (tracer != nullptr) {
+    if (trace.trace_id != 0) tracer->set_trace_id(trace.trace_id);
+    tracer->NameThisThread(thread_name);
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::Internal("cannot rename port file into place: " + path);
-  }
-  return Status::Ok();
-}
-
-void SendError(Socket& socket, const Status& status,
-               const NetOptions& options) {
-  // Best effort: the requester also handles an abrupt close.
-  (void)socket.SendFrame(FrameType::kError, EncodeErrorPayload(status),
-                         options);
+  return tracer;
 }
 
 void HandleAssign(State& state, Socket& socket, const Frame& frame) {
@@ -72,36 +60,28 @@ void HandleAssign(State& state, Socket& socket, const Frame& frame) {
     SendError(socket, config.status(), state.options.net);
     return;
   }
-  // Adopt the run's trace context: every span this worker records from
-  // here on shares the coordinator's trace id, and the assign span
-  // parents under the coordinator's rpc.assign span. The assign and
-  // assess handlers are the only worker paths that touch the tracer (and
-  // through it the trace clock) — the coordinator drives them strictly
-  // sequentially, which is what keeps harvested traces byte-reproducible
-  // under SimulatedTraceClock.
-  obs::Tracer* tracer = state.options.net.tracer;
-  if (tracer != nullptr) {
-    if (config->trace.trace_id != 0) {
-      tracer->set_trace_id(config->trace.trace_id);
-    }
-    tracer->NameThisThread("assign");
-  }
-  std::map<int, std::vector<std::string>> fitted;
+  // The assign span parents under the coordinator's rpc.assign span.
+  obs::Tracer* tracer = AdoptTrace(state, config->trace, "assign");
+  std::vector<std::pair<int, std::string>> fitted;  // (schema, model)
   {
     obs::ScopedSpan span(tracer, "worker.assign");
     span.set_parent(config->trace.parent_span);
     span.AddArg("schemas", static_cast<long long>(config->shard.size()));
-    for (int schema : config->shard) {
-      Result<scoping::LocalModel> model = scoping::LocalModel::Fit(
-          state.signatures->SchemaSignatures(schema), config->v, schema);
-      if (!model.ok()) {
-        obs::FlightRecorder::Global().Record(
-            "serve", StrFormat("assign %s",
-                               StatusCodeToString(model.status().code())));
-        SendError(socket, model.status(), state.options.net);
-        return;
-      }
-      fitted[schema].push_back(scoping::SerializeLocalModel(*model));
+    const std::vector<size_t> shard(config->shard.begin(),
+                                    config->shard.end());
+    Result<std::vector<scoping::LocalModel>> models =
+        scoping::FitLocalModelsOf(*state.signatures, shard, config->v,
+                                  nullptr, state.options.net.cancel);
+    if (!models.ok()) {
+      obs::FlightRecorder::Global().Record(
+          "serve", StrFormat("assign %s",
+                             StatusCodeToString(models.status().code())));
+      SendError(socket, models.status(), state.options.net);
+      return;
+    }
+    for (const scoping::LocalModel& model : *models) {
+      fitted.emplace_back(model.schema_index(),
+                          scoping::SerializeLocalModel(model));
     }
   }
   obs::FlightRecorder::Global().Record(
@@ -109,11 +89,8 @@ void HandleAssign(State& state, Socket& socket, const Frame& frame) {
   {
     std::lock_guard<std::mutex> lock(state.mu);
     state.config = std::move(config).value();
-    for (auto& [schema, versions] : fitted) {
-      auto& store = state.models[schema];
-      for (std::string& payload : versions) {
-        store.push_back(std::move(payload));
-      }
+    for (auto& [schema, payload] : fitted) {
+      state.models[schema].push_back(std::move(payload));
     }
   }
   (void)socket.SendFrame(FrameType::kAssignAck,
@@ -262,13 +239,7 @@ void HandleAssess(State& state, Socket& socket, const Frame& frame) {
     config = *state.config;
     models = state.models;
   }
-  obs::Tracer* tracer = state.options.net.tracer;
-  if (tracer != nullptr) {
-    if (request->trace.trace_id != 0) {
-      tracer->set_trace_id(request->trace.trace_id);
-    }
-    tracer->NameThisThread("assess");
-  }
+  obs::Tracer* tracer = AdoptTrace(state, request->trace, "assess");
   // All assessment telemetry — spans included — is committed before the
   // kPartial reply goes out: the moment the coordinator holds the reply
   // it may harvest (kStatsRequest, served on another thread), and the
@@ -312,29 +283,8 @@ void HandleAssess(State& state, Socket& socket, const Frame& frame) {
                          state.options.net);
 }
 
-/// Answers kStatsRequest with this worker's full telemetry. Deliberately
-/// span-free and clock-free: the harvest reply must report the telemetry,
-/// not perturb it — and this handler runs outside the deterministic
-/// assign/assess sequence, so touching a SimulatedTraceClock here would
-/// break the byte-identical merged-trace guarantee.
-void HandleStats(State& state, Socket& socket) {
-  WorkerTelemetry telemetry;
-  obs::Tracer* tracer = state.options.net.tracer;
-  if (tracer != nullptr) {
-    telemetry.trace_id = tracer->trace_id();
-    telemetry.thread_names = tracer->ThreadNames();
-    telemetry.events = tracer->Events();
-  }
-  if (state.options.net.metrics != nullptr) {
-    telemetry.metrics = state.options.net.metrics->Snapshot();
-  }
-  obs::FlightRecorder::Global().Record("serve", "stats ok");
-  (void)socket.SendFrame(FrameType::kStats, EncodeStats(telemetry),
-                         state.options.net);
-}
-
-void HandleConnection(std::shared_ptr<State> state, Socket socket) {
-  Result<Frame> frame = socket.RecvFrame(state->options.net);
+void HandleConnection(State& state, Socket socket) {
+  Result<Frame> frame = socket.RecvFrame(state.options.net);
   if (!frame.ok()) {
     COLSCOPE_LOG(Debug) << "worker: dropping connection: "
                         << frame.status().ToString();
@@ -342,29 +292,31 @@ void HandleConnection(std::shared_ptr<State> state, Socket socket) {
   }
   switch (frame->type) {
     case FrameType::kAssign:
-      HandleAssign(*state, socket, *frame);
+      HandleAssign(state, socket, *frame);
       return;
     case FrameType::kGetModel:
-      HandleGetModel(*state, socket, *frame);
+      HandleGetModel(state, socket, *frame);
       return;
     case FrameType::kAssess:
-      HandleAssess(*state, socket, *frame);
+      HandleAssess(state, socket, *frame);
       return;
     case FrameType::kStatsRequest:
-      HandleStats(*state, socket);
+      // The coordinator's pre-shutdown telemetry harvest.
+      obs::FlightRecorder::Global().Record("serve", "stats ok");
+      SendStats(socket, state.options.net.tracer, state.options.net.metrics,
+                state.options.net);
       return;
     case FrameType::kShutdown:
-      state->stop.store(true);
+      state.stop.store(true);
       obs::FlightRecorder::Global().Record("serve", "shutdown ok");
-      (void)socket.SendFrame(FrameType::kShutdownAck, "",
-                             state->options.net);
+      (void)socket.SendFrame(FrameType::kShutdownAck, "", state.options.net);
       return;
     default:
       SendError(socket,
                 Status::InvalidArgument(StrFormat(
                     "worker cannot serve frame type %u",
                     static_cast<unsigned>(frame->type))),
-                state->options.net);
+                state.options.net);
       return;
   }
 }
@@ -398,21 +350,14 @@ Result<WorkerServer> WorkerServer::Create(
 }
 
 Status WorkerServer::Serve() {
-  std::vector<std::thread> threads;
-  while (!state_->stop.load()) {
-    Result<Socket> socket =
-        state_->listener.Accept(100.0, state_->options.net);
-    if (!socket.ok()) {
-      if (socket.status().code() == StatusCode::kNotFound) continue;
-      if (socket.status().code() == StatusCode::kCancelled) break;
-      for (std::thread& thread : threads) thread.join();
-      return socket.status();
-    }
-    threads.emplace_back(HandleConnection, state_,
-                         std::move(socket).value());
-  }
-  for (std::thread& thread : threads) thread.join();
-  return Status::Ok();
+  std::shared_ptr<State> state = state_;
+  ServeLoop::Hooks hooks;
+  hooks.handle = [state](Socket socket) {
+    HandleConnection(*state, std::move(socket));
+  };
+  hooks.stop = [state] { return state->stop.load(); };
+  ServeLoop loop;
+  return loop.Serve(state->listener, state->options.net, hooks);
 }
 
 }  // namespace colscope::net

@@ -12,8 +12,10 @@
 #include "common/check.h"
 #include "common/checksum.h"
 #include "common/strings.h"
+#include "datasets/csv_loader.h"
 #include "exchange/transport.h"
 #include "obs/log.h"
+#include "schema/ddl_parser.h"
 #include "scoping/collaborative.h"
 #include "scoping/scoping.h"
 #include "scoping/streamline.h"
@@ -145,6 +147,36 @@ Result<std::vector<bool>> ScopeViaExchange(
 bool IsPipelinePhase(std::string_view name) {
   return std::find(kPipelinePhases.begin(), kPipelinePhases.end(), name) !=
          kPipelinePhases.end();
+}
+
+Result<ScoperKind> ParseScoperKind(std::string_view name) {
+  if (name == "pca") return ScoperKind::kCollaborativePca;
+  if (name == "neural") return ScoperKind::kCollaborativeNeural;
+  if (name == "global") return ScoperKind::kGlobalScoping;
+  if (name == "none") return ScoperKind::kNone;
+  return Status::InvalidArgument("unknown scoper: " + std::string(name));
+}
+
+Result<schema::SchemaSet> BuildSchemaSet(
+    const std::vector<SchemaSource>& sources) {
+  std::vector<schema::Schema> schemas;
+  for (const SchemaSource& source : sources) {
+    Result<schema::Schema> parsed =
+        Status::InvalidArgument("unknown schema kind: " + source.kind);
+    if (source.kind == "ddl") {
+      parsed = schema::ParseDdl(source.text, source.name);
+    } else if (source.kind == "csv") {
+      datasets::CsvLoadOptions options;
+      options.table_name = source.name;
+      parsed = datasets::LoadCsvSchema(source.text, source.name, options);
+    }
+    if (!parsed.ok()) {
+      return Status::InvalidArgument(source.name + ": " +
+                                     parsed.status().message());
+    }
+    schemas.push_back(std::move(parsed).value());
+  }
+  return schema::SchemaSet(std::move(schemas));
 }
 
 size_t PipelineRun::num_kept() const {

@@ -21,6 +21,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "outlier/oda.h"
+#include "schema/schema_set.h"
 #include "scoping/collaborative.h"
 #include "scoping/neural_collaborative.h"
 #include "scoping/signatures.h"
@@ -48,6 +49,25 @@ enum class ScoperKind {
   kCollaborativeNeural,   ///< Future-work variant: neural encoder-decoders.
   kGlobalScoping,         ///< Prior-work baseline: one ODA + threshold p.
 };
+
+/// Parses a --scoper / scope-request name: pca|neural|global|none.
+/// InvalidArgument("unknown scoper: <name>") for anything else.
+Result<ScoperKind> ParseScoperKind(std::string_view name);
+
+/// One schema's source text and how to parse it ("ddl" -> ParseDdl,
+/// "csv" -> LoadCsvSchema), named as the CLI names it (file basename).
+/// The cold CLI reads its files into these and a scope request ships
+/// them, so both build byte-identical schema sets.
+struct SchemaSource {
+  std::string kind;  ///< "ddl" or "csv".
+  std::string name;
+  std::string text;
+};
+
+/// Parses every source, in order, into one SchemaSet; a source that
+/// fails (or has an unknown kind) is InvalidArgument("<name>: <why>").
+Result<schema::SchemaSet> BuildSchemaSet(
+    const std::vector<SchemaSource>& sources);
 
 /// Simulated model-exchange settings for kCollaborativePca: when
 /// enabled, phase III runs over an in-memory transport with the given

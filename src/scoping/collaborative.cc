@@ -1,10 +1,11 @@
 #include "scoping/collaborative.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <climits>
 #include <numeric>
 #include <optional>
 
+#include "common/parse.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "linalg/stats.h"
@@ -95,10 +96,9 @@ Result<DegradedOptions> ParseDegradedPolicy(const std::string& spec) {
       if (spec[quorum_prefix.size()] != ':') {
         return Status::InvalidArgument("malformed quorum spec: " + spec);
       }
-      const std::string count = spec.substr(quorum_prefix.size() + 1);
-      char* end = nullptr;
-      const long long q = std::strtoll(count.c_str(), &end, 10);
-      if (end == count.c_str() || *end != '\0' || q < 1) {
+      long long q = 0;
+      if (!ParseInt(spec.substr(quorum_prefix.size() + 1), 1, LLONG_MAX,
+                    q)) {
         return Status::InvalidArgument("quorum must be a positive integer: " +
                                        spec);
       }

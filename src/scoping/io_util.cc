@@ -1,31 +1,11 @@
 #include "scoping/io_util.h"
 
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
 #include <vector>
 
+#include "common/parse.h"
 #include "common/strings.h"
 
 namespace colscope::scoping::io {
-
-bool ParseFiniteDouble(const std::string& token, double& out) {
-  errno = 0;
-  char* end = nullptr;
-  out = std::strtod(token.c_str(), &end);
-  return errno == 0 && end != nullptr && *end == '\0' &&
-         end != token.c_str() && std::isfinite(out);
-}
-
-bool ParseSize(const std::string& token, size_t& out) {
-  if (token.empty() || token[0] == '-' || token[0] == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(token.c_str(), &end, 10);
-  if (errno != 0 || end == token.c_str() || *end != '\0') return false;
-  out = static_cast<size_t>(value);
-  return static_cast<unsigned long long>(out) == value;
-}
 
 Status ParseVectorLine(const std::string& line, size_t count,
                        linalg::Vector& out) {

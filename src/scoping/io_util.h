@@ -8,20 +8,9 @@
 
 namespace colscope::scoping::io {
 
-/// Shared parsing discipline of the text artifacts this library
-/// exchanges and caches (local models, signature blocks, keep masks).
-/// Every artifact crosses an untrusted boundary — a faulty transport or
-/// a damaged cache object — so parsing is strict: finite-only
-/// numbers, no trailing garbage, overflow-checked sizes.
-
-/// Parses one double strictly; false on trailing garbage, range error,
-/// or non-finite value (NaN/Inf never appear in a valid artifact and
-/// would poison every downstream computation).
-bool ParseFiniteDouble(const std::string& token, double& out);
-
-/// Parses a strictly non-negative decimal integer; false on sign,
-/// trailing garbage, or overflow.
-bool ParseSize(const std::string& token, size_t& out);
+/// Vector lines of the text artifacts this library exchanges and caches
+/// (local models, signature blocks), parsed with the strict token
+/// discipline of common/parse.h.
 
 /// Parses a line of exactly `count` whitespace-separated doubles.
 Status ParseVectorLine(const std::string& line, size_t count,

@@ -1,10 +1,9 @@
 #include "scoping/model_io.h"
 
-#include <cerrno>
 #include <climits>
-#include <cstdlib>
 #include <sstream>
 
+#include "common/parse.h"
 #include "common/strings.h"
 #include "scoping/io_util.h"
 
@@ -13,8 +12,6 @@ namespace colscope::scoping {
 namespace {
 
 using io::AppendVector;
-using io::ParseFiniteDouble;
-using io::ParseSize;
 using io::ParseVectorLine;
 
 constexpr char kHeader[] = "colscope-local-model v1";
@@ -30,12 +27,8 @@ constexpr size_t kMaxTotalValues = size_t{1} << 24;
 /// Parses a decimal int in [-1, INT_MAX] (−1 is the "anonymous peer"
 /// schema index); false on garbage or out-of-range values.
 bool ParseSchemaIndex(const std::string& token, int& out) {
-  if (token.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long value = std::strtol(token.c_str(), &end, 10);
-  if (errno != 0 || end == token.c_str() || *end != '\0') return false;
-  if (value < -1 || value > INT_MAX) return false;
+  long long value = 0;
+  if (!ParseInt(token, -1, INT_MAX, value)) return false;
   out = static_cast<int>(value);
   return true;
 }

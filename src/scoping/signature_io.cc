@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "common/parse.h"
 #include "common/strings.h"
 #include "scoping/io_util.h"
 
@@ -9,7 +10,6 @@ namespace colscope::scoping {
 
 namespace {
 
-using io::ParseSize;
 
 constexpr char kMaskHeader[] = "colscope-keep-mask v1";
 

@@ -19,16 +19,17 @@ constexpr auto kWaitSlice = std::chrono::milliseconds(10);
 
 AdmissionController::AdmissionController(AdmissionOptions options)
     : options_(options) {
-  if (options_.metrics != nullptr) {
-    // Pre-register so an idle server still exports the gauge (as zero).
-    options_.metrics->GetGauge("server.queue_depth");
-  }
+  // Pre-registers the gauges, so an idle server still exports them.
+  UpdateGauges();
 }
 
-void AdmissionController::UpdateGauge() {
+void AdmissionController::UpdateGauges() {
   if (options_.metrics != nullptr) {
     options_.metrics->GetGauge("server.queue_depth")
         .Set(static_cast<double>(queued_));
+    options_.metrics->GetGauge("server.inflight")
+        .Set(static_cast<double>(inflight_));
+    options_.metrics->GetGauge("server.draining").Set(draining_ ? 1.0 : 0.0);
   }
 }
 
@@ -60,19 +61,19 @@ Status AdmissionController::Admit(uint64_t cost_bytes,
 
   ++queued_;
   cost_bytes_ += cost_bytes;
-  UpdateGauge();
+  UpdateGauges();
 
   while (inflight_ >= options_.max_inflight) {
     if (hard_stop != nullptr && hard_stop->cancelled()) {
       --queued_;
       cost_bytes_ -= cost_bytes;
-      UpdateGauge();
+      UpdateGauges();
       return Status::Cancelled("server stopped while the request was queued");
     }
     if (deadline.expired()) {
       --queued_;
       cost_bytes_ -= cost_bytes;
-      UpdateGauge();
+      UpdateGauges();
       return Status::DeadlineExceeded(
           "request deadline expired while queued for an execution slot");
     }
@@ -81,7 +82,7 @@ Status AdmissionController::Admit(uint64_t cost_bytes,
 
   --queued_;
   ++inflight_;
-  UpdateGauge();
+  UpdateGauges();
   return Status::Ok();
 }
 
@@ -90,6 +91,7 @@ void AdmissionController::Release(uint64_t cost_bytes) {
     std::lock_guard<std::mutex> lock(mu_);
     inflight_ = inflight_ > 0 ? inflight_ - 1 : 0;
     cost_bytes_ = cost_bytes_ > cost_bytes ? cost_bytes_ - cost_bytes : 0;
+    UpdateGauges();
   }
   slot_free_.notify_one();
 }
@@ -98,6 +100,7 @@ void AdmissionController::BeginDrain() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     draining_ = true;
+    UpdateGauges();
   }
   // Queued waiters re-check state on wake; hard_stop (if tripped later)
   // is what actually evicts them.

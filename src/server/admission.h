@@ -30,7 +30,8 @@ struct AdmissionOptions {
   /// queued + executing requests; 0 means unbounded. A single request
   /// larger than the whole budget is shed outright.
   uint64_t max_cost_bytes = 256ull << 20;
-  /// Borrowed; may be null. Exports the server.queue_depth gauge.
+  /// Borrowed; may be null. Exports the server.queue_depth,
+  /// server.inflight and server.draining gauges.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -72,7 +73,7 @@ class AdmissionController {
   size_t inflight() const;
 
  private:
-  void UpdateGauge();  // Caller holds mu_.
+  void UpdateGauges();  // Caller holds mu_ (or is the constructor).
 
   AdmissionOptions options_;
   mutable std::mutex mu_;

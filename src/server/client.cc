@@ -4,21 +4,27 @@
 
 #include "common/strings.h"
 #include "net/frame.h"
-#include "net/protocol.h"
+#include "net/rpc.h"
+#include "net/telemetry.h"
 
 namespace colscope::server {
 
 namespace {
 
-/// One request/reply round trip on a fresh connection (the daemon
-/// serves one request per connection, like the worker protocol).
-Result<net::Frame> RoundTrip(const net::Endpoint& server,
-                             net::FrameType type, const std::string& payload,
-                             const net::NetOptions& options) {
-  Result<net::Socket> socket = net::Socket::Connect(server, options);
-  if (!socket.ok()) return socket.status();
-  COLSCOPE_RETURN_IF_ERROR(socket->SendFrame(type, payload, options));
-  return socket->RecvFrame(options);
+/// The reply payload of one net::Call (the daemon serves one request per
+/// connection, like the worker protocol): a kError reply's carried
+/// status, or InvalidArgument for a reply of any type but `want`.
+Result<std::string> CallFor(const net::Endpoint& server, net::FrameType type,
+                            const std::string& payload, net::FrameType want,
+                            const net::NetOptions& options) {
+  Result<net::Frame> reply = net::Call(server, type, payload, options);
+  if (!reply.ok()) return reply.status();
+  if (reply->type != want) {
+    return Status::InvalidArgument(StrFormat(
+        "expected a %s reply, got frame type %u", net::FrameTypeToString(want),
+        static_cast<unsigned>(reply->type)));
+  }
+  return std::move(reply->payload);
 }
 
 }  // namespace
@@ -26,51 +32,27 @@ Result<net::Frame> RoundTrip(const net::Endpoint& server,
 Result<std::string> RequestScope(const net::Endpoint& server,
                                  const ScopeRequest& request,
                                  const net::NetOptions& options) {
-  Result<net::Frame> reply =
-      RoundTrip(server, net::FrameType::kScopeRequest,
-                EncodeScopeRequest(request), options);
-  if (!reply.ok()) return reply.status();
-  if (reply->type == net::FrameType::kError) {
-    return net::DecodeErrorPayload(reply->payload);
-  }
-  if (reply->type != net::FrameType::kScopeResponse) {
-    return Status::InvalidArgument(
-        StrFormat("expected a scope response, got frame type %u",
-                  static_cast<unsigned>(reply->type)));
-  }
-  return std::move(reply->payload);
+  return CallFor(server, net::FrameType::kScopeRequest,
+                 EncodeScopeRequest(request), net::FrameType::kScopeResponse,
+                 options);
 }
 
 Result<HealthInfo> RequestHealth(const net::Endpoint& server,
                                  const net::NetOptions& options) {
-  Result<net::Frame> reply =
-      RoundTrip(server, net::FrameType::kHealth, "", options);
+  Result<std::string> reply =
+      CallFor(server, net::FrameType::kStatsRequest, "",
+              net::FrameType::kStats, options);
   if (!reply.ok()) return reply.status();
-  if (reply->type == net::FrameType::kError) {
-    return net::DecodeErrorPayload(reply->payload);
-  }
-  if (reply->type != net::FrameType::kHealth) {
-    return Status::InvalidArgument(
-        StrFormat("expected a health reply, got frame type %u",
-                  static_cast<unsigned>(reply->type)));
-  }
-  return DecodeHealthInfo(reply->payload);
+  Result<net::WorkerTelemetry> stats = net::DecodeStats(*reply);
+  if (!stats.ok()) return stats.status();
+  return HealthFromMetrics(stats->metrics);
 }
 
 Status RequestShutdown(const net::Endpoint& server,
                        const net::NetOptions& options) {
-  Result<net::Frame> reply =
-      RoundTrip(server, net::FrameType::kShutdown, "", options);
-  if (!reply.ok()) return reply.status();
-  if (reply->type == net::FrameType::kError) {
-    return net::DecodeErrorPayload(reply->payload);
-  }
-  if (reply->type != net::FrameType::kShutdownAck) {
-    return Status::InvalidArgument(
-        StrFormat("expected a shutdown ack, got frame type %u",
-                  static_cast<unsigned>(reply->type)));
-  }
-  return Status::Ok();
+  return CallFor(server, net::FrameType::kShutdown, "",
+                 net::FrameType::kShutdownAck, options)
+      .status();
 }
 
 }  // namespace colscope::server

@@ -18,7 +18,8 @@ Result<std::string> RequestScope(const net::Endpoint& server,
                                  const ScopeRequest& request,
                                  const net::NetOptions& options);
 
-/// Probes a daemon's lifecycle state and request accounting.
+/// Probes a daemon's lifecycle state and request accounting: one
+/// kStatsRequest round trip, read through HealthFromMetrics.
 Result<HealthInfo> RequestHealth(const net::Endpoint& server,
                                  const net::NetOptions& options);
 

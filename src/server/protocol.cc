@@ -1,11 +1,10 @@
 #include "server/protocol.h"
 
 #include <cctype>
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
+#include <optional>
 #include <sstream>
 
+#include "common/parse.h"
 #include "common/strings.h"
 #include "net/telemetry.h"
 
@@ -13,34 +12,9 @@ namespace colscope::server {
 
 namespace {
 
-/// Whitespace-split tokens of one line.
-std::vector<std::string> Tokens(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream in(line);
-  std::string token;
-  while (in >> token) tokens.push_back(token);
-  return tokens;
-}
-
 Status Malformed(const char* what, const std::string& line) {
   return Status::InvalidArgument(
       StrFormat("malformed %s line: %s", what, line.c_str()));
-}
-
-bool ParseFiniteDouble(const std::string& token, double& out) {
-  errno = 0;
-  char* end = nullptr;
-  out = std::strtod(token.c_str(), &end);
-  return errno == 0 && end != nullptr && *end == '\0' &&
-         end != token.c_str() && std::isfinite(out);
-}
-
-bool ParseUint64(const std::string& token, uint64_t& out) {
-  if (token.empty() || token[0] == '-' || token[0] == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  out = std::strtoull(token.c_str(), &end, 10);
-  return errno == 0 && end != nullptr && *end == '\0';
 }
 
 /// A bare identifier token: non-empty, no whitespace or '%' games — the
@@ -94,7 +68,7 @@ Result<ScopeRequest> DecodeScopeRequest(const std::string& payload) {
       saw_end = true;
       break;
     }
-    const std::vector<std::string> tokens = Tokens(line);
+    const std::vector<std::string> tokens = TokenizeLine(line);
     if (tokens.empty()) return Malformed("scope request", line);
     if (tokens[0] == "config" && tokens.size() == 7) {
       if (!IsIdentToken(tokens[1]) || !IsIdentToken(tokens[2])) {
@@ -151,80 +125,35 @@ Result<ScopeRequest> DecodeScopeRequest(const std::string& payload) {
   return request;
 }
 
-std::string EncodeHealthInfo(const HealthInfo& info) {
-  std::string out = "colscope-health v1\n";
-  out += StrFormat("state %s\n", info.state.c_str());
-  out += StrFormat("queue_depth %zu\n", info.queue_depth);
-  out += StrFormat("inflight %zu\n", info.inflight);
-  out += StrFormat("admitted %llu\n",
-                   static_cast<unsigned long long>(info.admitted));
-  out += StrFormat("shed %llu\n", static_cast<unsigned long long>(info.shed));
-  out += StrFormat(
-      "deadline_exceeded %llu\n",
-      static_cast<unsigned long long>(info.deadline_exceeded));
-  out += StrFormat("completed %llu\n",
-                   static_cast<unsigned long long>(info.completed));
-  out += StrFormat("failed %llu\n",
-                   static_cast<unsigned long long>(info.failed));
-  out += "end\n";
-  return out;
-}
-
-Result<HealthInfo> DecodeHealthInfo(const std::string& payload) {
-  std::istringstream in(payload);
-  std::string line;
-  if (!std::getline(in, line) || line != "colscope-health v1") {
-    return Status::InvalidArgument("bad health header: " + line);
+Result<HealthInfo> HealthFromMetrics(const obs::MetricsSnapshot& metrics) {
+  // Absent instruments read as 0; only the draining gauge is required.
+  const auto gauge = [&](const char* name) -> std::optional<double> {
+    for (const auto& [key, value] : metrics.gauges) {
+      if (key == name) return value;
+    }
+    return std::nullopt;
+  };
+  const auto counter = [&](const char* name) -> uint64_t {
+    for (const auto& [key, value] : metrics.counters) {
+      if (key == name) return value;
+    }
+    return 0;
+  };
+  const std::optional<double> draining = gauge("server.draining");
+  if (!draining.has_value()) {
+    return Status::InvalidArgument(
+        "stats reply carries no server.draining gauge: not a colscoped");
   }
   HealthInfo info;
-  bool saw_end = false;
-  while (std::getline(in, line)) {
-    if (line == "end") {
-      saw_end = true;
-      break;
-    }
-    const std::vector<std::string> tokens = Tokens(line);
-    if (tokens.size() != 2) return Malformed("health", line);
-    uint64_t n = 0;
-    if (tokens[0] == "state") {
-      if (tokens[1] != "serving" && tokens[1] != "draining") {
-        return Malformed("health state", line);
-      }
-      info.state = tokens[1];
-    } else if (tokens[0] == "queue_depth") {
-      if (!ParseUint64(tokens[1], n)) return Malformed("health", line);
-      info.queue_depth = static_cast<size_t>(n);
-    } else if (tokens[0] == "inflight") {
-      if (!ParseUint64(tokens[1], n)) return Malformed("health", line);
-      info.inflight = static_cast<size_t>(n);
-    } else if (tokens[0] == "admitted") {
-      if (!ParseUint64(tokens[1], info.admitted)) {
-        return Malformed("health", line);
-      }
-    } else if (tokens[0] == "shed") {
-      if (!ParseUint64(tokens[1], info.shed)) return Malformed("health", line);
-    } else if (tokens[0] == "deadline_exceeded") {
-      if (!ParseUint64(tokens[1], info.deadline_exceeded)) {
-        return Malformed("health", line);
-      }
-    } else if (tokens[0] == "completed") {
-      if (!ParseUint64(tokens[1], info.completed)) {
-        return Malformed("health", line);
-      }
-    } else if (tokens[0] == "failed") {
-      if (!ParseUint64(tokens[1], info.failed)) {
-        return Malformed("health", line);
-      }
-    } else {
-      return Malformed("health", line);
-    }
-  }
-  if (!saw_end) {
-    return Status::InvalidArgument("health payload missing end marker");
-  }
-  if (info.state.empty()) {
-    return Status::InvalidArgument("health payload missing state");
-  }
+  info.state = *draining != 0.0 ? "draining" : "serving";
+  info.queue_depth =
+      static_cast<size_t>(gauge("server.queue_depth").value_or(0.0));
+  info.inflight = static_cast<size_t>(gauge("server.inflight").value_or(0.0));
+  info.admitted = counter("server.requests_admitted");
+  info.shed = counter("server.requests_shed");
+  info.deadline_exceeded = counter("server.requests_deadline_exceeded");
+  info.completed = counter("server.requests_completed");
+  info.failed = counter("server.requests_failed");
   return info;
 }
 

@@ -8,6 +8,8 @@
 
 #include "common/status.h"
 #include "net/protocol.h"
+#include "obs/metrics.h"
+#include "pipeline/pipeline.h"
 
 namespace colscope::server {
 
@@ -15,16 +17,11 @@ namespace colscope::server {
 /// schema cap so a hostile count can never size an allocation.
 inline constexpr size_t kMaxRequestSchemas = 4096;
 
-/// One schema shipped inside a kScopeRequest: the raw source text plus
-/// how to parse it ("ddl" -> schema::ParseDdl, "csv" ->
-/// datasets::LoadCsvSchema) and the schema name the cold CLI would have
-/// derived from the file basename — shipping the name keeps warm server
-/// reports byte-identical to cold CLI runs.
-struct ScopeRequestSchema {
-  std::string kind;  ///< "ddl" or "csv".
-  std::string name;
-  std::string text;
-};
+/// One schema shipped inside a kScopeRequest: the raw source text, how
+/// to parse it, and the schema name the cold CLI would have derived from
+/// the file basename — shipping the name keeps warm server reports
+/// byte-identical to cold CLI runs.
+using ScopeRequestSchema = pipeline::SchemaSource;
 
 /// kScopeRequest payload: everything one pipeline run needs, expressed
 /// with the same parameter names and defaults as the CLI flags so a
@@ -47,8 +44,9 @@ struct ScopeRequest {
 std::string EncodeScopeRequest(const ScopeRequest& request);
 Result<ScopeRequest> DecodeScopeRequest(const std::string& payload);
 
-/// kHealth reply payload: the daemon's lifecycle state and request
-/// accounting, for probes and the drain harness.
+/// A colscoped's lifecycle state and request accounting, for probes and
+/// the drain harness. Not a wire payload of its own: it is a view over
+/// the kStats reply (see HealthFromMetrics).
 struct HealthInfo {
   std::string state;  ///< "serving" or "draining".
   size_t queue_depth = 0;
@@ -60,8 +58,12 @@ struct HealthInfo {
   uint64_t failed = 0;
 };
 
-std::string EncodeHealthInfo(const HealthInfo& info);
-Result<HealthInfo> DecodeHealthInfo(const std::string& payload);
+/// Reads HealthInfo from a colscoped metrics snapshot: the
+/// server.requests_* counters and the server.queue_depth /
+/// server.inflight / server.draining gauges. InvalidArgument when the
+/// snapshot holds no server.draining gauge, i.e. it did not come from a
+/// colscoped.
+Result<HealthInfo> HealthFromMetrics(const obs::MetricsSnapshot& metrics);
 
 }  // namespace colscope::server
 

@@ -3,74 +3,54 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <map>
-#include <mutex>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <utility>
-#include <vector>
 
 #include "cache/artifact_cache.h"
 #include "common/cancellation.h"
 #include "common/strings.h"
-#include "datasets/csv_loader.h"
 #include "embed/hashed_encoder.h"
-#include "matching/cluster_matcher.h"
-#include "matching/lsh_matcher.h"
-#include "matching/sim.h"
-#include "matching/string_matcher.h"
+#include "matching/matcher.h"
 #include "net/frame.h"
-#include "net/protocol.h"
+#include "net/rpc.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "outlier/pca_oda.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/report.h"
-#include "schema/ddl_parser.h"
 #include "server/admission.h"
 
 namespace colscope::server {
 
 namespace {
 
-/// Accept-loop tick: how often the serve loop re-checks the drain flag.
-constexpr double kAcceptTickMs = 100.0;
-/// Drain / reap poll tick.
+/// Drain / execution-delay poll tick.
 constexpr auto kDrainTick = std::chrono::milliseconds(10);
 
 /// Set by the SIGTERM/SIGINT handlers; polled by the serve loop. One
 /// daemon per process (the CLI's serve role), so process-wide state is
 /// the honest scope — and the only kind a signal handler may touch.
-volatile std::sig_atomic_t g_drain_signal = 0;
+/// A lock-free atomic rather than a volatile sig_atomic_t: the serve loop
+/// reads it from its own thread while InstallSignalHandlers may reset it
+/// from another.
+std::atomic<int> g_drain_signal{0};
+static_assert(std::atomic<int>::is_always_lock_free,
+              "a signal handler may only touch lock-free atomics");
 
 void DrainSignalHandler(int /*signum*/) { g_drain_signal = 1; }
-
-/// Writes `port` atomically (tmp + rename) so a polling harness never
-/// observes a half-written number. Mirrors the worker's port file.
-Status WritePortFile(const std::string& path, uint16_t port) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return Status::Internal("cannot open port file: " + tmp);
-    out << port << "\n";
-    if (!out.flush()) {
-      return Status::Internal("cannot write port file: " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::Internal("cannot rename port file into place: " + path);
-  }
-  return Status::Ok();
-}
 
 }  // namespace
 
 struct ScopeServer::State {
   ScopeServerOptions options;
+  /// The server.* instruments' registry: options.metrics, or owned_metrics
+  /// when none was borrowed. Health and the kStats reply read it.
+  obs::MetricsRegistry owned_metrics;
+  obs::MetricsRegistry* metrics;
   net::Listener listener;
   /// Resident per-process state the daemon exists to keep warm.
   embed::HashedLexiconEncoder encoder;
@@ -83,22 +63,14 @@ struct ScopeServer::State {
   CancellationToken hard_stop;
   std::atomic<bool> drain_requested{false};
 
-  /// Request accounting (also exported as server.* counters; the
-  /// atomics additionally back the kHealth reply, which must not touch
-  /// the registry from a signal-adjacent path).
-  std::atomic<uint64_t> admitted{0};
-  std::atomic<uint64_t> shed{0};
-  std::atomic<uint64_t> deadline_exceeded{0};
-  std::atomic<uint64_t> completed{0};
-  std::atomic<uint64_t> failed{0};
-
-  std::atomic<size_t> active_connections{0};
-  std::mutex threads_mu;
-  std::map<std::thread::id, std::thread> threads;
-  std::vector<std::thread::id> finished;
-
-  explicit State(ScopeServerOptions opts, AdmissionOptions admission_opts)
-      : options(std::move(opts)), admission(admission_opts) {}
+  explicit State(ScopeServerOptions opts)
+      : options(std::move(opts)),
+        metrics(options.metrics != nullptr ? options.metrics
+                                           : &owned_metrics),
+        admission(AdmissionOptions{
+            options.max_queue,
+            options.max_inflight > 0 ? options.max_inflight : 1,
+            options.max_cost_bytes, metrics}) {}
 };
 
 namespace {
@@ -106,79 +78,7 @@ namespace {
 using State = ScopeServer::State;
 
 void Count(State& state, const char* name) {
-  if (state.options.metrics != nullptr) {
-    state.options.metrics->GetCounter(name).Increment();
-  }
-}
-
-void SendError(State& state, net::Socket& socket, const Status& status,
-               const net::NetOptions& net) {
-  // Best effort: the client also handles an abrupt close.
-  (void)socket.SendFrame(net::FrameType::kError,
-                         net::EncodeErrorPayload(status), net);
-}
-
-HealthInfo SnapshotHealth(const State& state) {
-  HealthInfo info;
-  info.state = state.admission.draining() ? "draining" : "serving";
-  info.queue_depth = state.admission.queue_depth();
-  info.inflight = state.admission.inflight();
-  info.admitted = state.admitted.load();
-  info.shed = state.shed.load();
-  info.deadline_exceeded = state.deadline_exceeded.load();
-  info.completed = state.completed.load();
-  info.failed = state.failed.load();
-  return info;
-}
-
-/// Builds the request's SchemaSet exactly like the CLI's LoadSchemas
-/// does from files — same parsers, same name derivation (the client ships
-/// the basename) — so warm reports are byte-identical to cold runs.
-Result<schema::SchemaSet> BuildSchemaSet(const ScopeRequest& request) {
-  std::vector<schema::Schema> schemas;
-  for (const ScopeRequestSchema& entry : request.schemas) {
-    if (entry.kind == "ddl") {
-      Result<schema::Schema> parsed = schema::ParseDdl(entry.text, entry.name);
-      if (!parsed.ok()) {
-        return Status::InvalidArgument(entry.name + ": " +
-                                       parsed.status().message());
-      }
-      schemas.push_back(std::move(parsed).value());
-    } else {
-      datasets::CsvLoadOptions options;
-      options.table_name = entry.name;
-      Result<schema::Schema> loaded =
-          datasets::LoadCsvSchema(entry.text, entry.name, options);
-      if (!loaded.ok()) {
-        return Status::InvalidArgument(entry.name + ": " +
-                                       loaded.status().message());
-      }
-      schemas.push_back(std::move(loaded).value());
-    }
-  }
-  return schema::SchemaSet(std::move(schemas));
-}
-
-/// Matcher factory with the CLI's parameter defaults.
-std::unique_ptr<matching::Matcher> MakeMatcher(const ScopeRequest& request) {
-  if (request.matcher == "sim") {
-    return std::make_unique<matching::SimMatcher>(
-        request.param >= 0 ? request.param : 0.6, nullptr);
-  }
-  if (request.matcher == "cluster") {
-    return std::make_unique<matching::ClusterMatcher>(
-        request.param >= 0 ? static_cast<size_t>(request.param) : 5);
-  }
-  if (request.matcher == "lsh") {
-    return std::make_unique<matching::LshMatcher>(
-        request.param >= 0 ? static_cast<size_t>(request.param) : 1);
-  }
-  if (request.matcher == "str") {
-    return std::make_unique<matching::StringSimilarityMatcher>(
-        matching::StringSimilarityMatcher::Measure::kJaroWinkler,
-        request.param >= 0 ? request.param : 0.9);
-  }
-  return nullptr;
+  state.metrics->GetCounter(name).Increment();
 }
 
 /// Executes one admitted request and returns the reply payload or the
@@ -204,10 +104,15 @@ Result<std::string> ExecuteScope(State& state, const ScopeRequest& request,
         "request deadline expired before execution started");
   }
 
-  Result<schema::SchemaSet> set = BuildSchemaSet(request);
+  Result<schema::SchemaSet> set = pipeline::BuildSchemaSet(request.schemas);
   if (!set.ok()) return set.status();
 
-  std::unique_ptr<matching::Matcher> matcher = MakeMatcher(request);
+  // The request carries only the matcher's name and parameter; every
+  // other knob keeps the cold CLI's default.
+  matching::MatcherSpec spec;
+  spec.name = request.matcher;
+  spec.param = request.param;
+  std::unique_ptr<matching::Matcher> matcher = matching::MakeMatcher(spec);
   if (matcher == nullptr) {
     return Status::InvalidArgument("unknown matcher: " + request.matcher);
   }
@@ -216,17 +121,12 @@ Result<std::string> ExecuteScope(State& state, const ScopeRequest& request,
   options.explained_variance = request.v;
   options.keep_portion = request.keep_portion;
   options.num_threads = state.options.threads;
-  if (request.scoper == "pca") {
-    options.scoper = pipeline::ScoperKind::kCollaborativePca;
-  } else if (request.scoper == "neural") {
-    options.scoper = pipeline::ScoperKind::kCollaborativeNeural;
-  } else if (request.scoper == "global") {
-    options.scoper = pipeline::ScoperKind::kGlobalScoping;
+  Result<pipeline::ScoperKind> scoper =
+      pipeline::ParseScoperKind(request.scoper);
+  if (!scoper.ok()) return scoper.status();
+  options.scoper = *scoper;
+  if (options.scoper == pipeline::ScoperKind::kGlobalScoping) {
     options.detector = &state.detector;
-  } else if (request.scoper == "none") {
-    options.scoper = pipeline::ScoperKind::kNone;
-  } else {
-    return Status::InvalidArgument("unknown scoper: " + request.scoper);
   }
   // The resident cache, shared across requests; the run must not open
   // its own.
@@ -257,9 +157,8 @@ void HandleScope(State& state, net::Socket& socket, const net::Frame& frame,
                  const net::NetOptions& net) {
   Result<ScopeRequest> request = DecodeScopeRequest(frame.payload);
   if (!request.ok()) {
-    state.failed.fetch_add(1);
     Count(state, "server.requests_failed");
-    SendError(state, socket, request.status(), net);
+    net::SendError(socket, request.status(), net);
     return;
   }
 
@@ -279,29 +178,25 @@ void HandleScope(State& state, net::Socket& socket, const net::Frame& frame,
   if (!admitted.ok()) {
     switch (admitted.code()) {
       case StatusCode::kOverloaded:
-        state.shed.fetch_add(1);
         Count(state, "server.requests_shed");
         obs::FlightRecorder::Global().Record(
             "server", StrFormat("shed schemas=%zu overloaded",
                                 request->schemas.size()));
         break;
       case StatusCode::kDeadlineExceeded:
-        state.deadline_exceeded.fetch_add(1);
         Count(state, "server.requests_deadline_exceeded");
         obs::FlightRecorder::Global().Record(
             "server", StrFormat("timeout schemas=%zu queued",
                                 request->schemas.size()));
         break;
       default:
-        state.failed.fetch_add(1);
         Count(state, "server.requests_failed");
         break;
     }
-    SendError(state, socket, admitted, net);
+    net::SendError(socket, admitted, net);
     return;
   }
 
-  state.admitted.fetch_add(1);
   Count(state, "server.requests_admitted");
   const auto started = std::chrono::steady_clock::now();
   Result<std::string> reply = ExecuteScope(state, *request, deadline);
@@ -309,111 +204,69 @@ void HandleScope(State& state, net::Socket& socket, const net::Frame& frame,
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - started)
           .count();
-  if (state.options.metrics != nullptr) {
-    state.options.metrics
-        ->GetHistogram("server.request_ms",
-                       obs::ExponentialBuckets(0.1, 2.0, 16))
-        .Observe(elapsed_ms);
-  }
+  state.metrics
+      ->GetHistogram("server.request_ms",
+                     obs::ExponentialBuckets(0.1, 2.0, 16))
+      .Observe(elapsed_ms);
   state.admission.Release(cost);
 
   if (reply.ok()) {
-    state.completed.fetch_add(1);
     Count(state, "server.requests_completed");
     (void)socket.SendFrame(net::FrameType::kScopeResponse, *reply, net);
     return;
   }
   if (reply.status().code() == StatusCode::kDeadlineExceeded) {
-    state.deadline_exceeded.fetch_add(1);
     Count(state, "server.requests_deadline_exceeded");
     obs::FlightRecorder::Global().Record(
         "server",
         StrFormat("timeout schemas=%zu executing", request->schemas.size()));
   } else {
-    state.failed.fetch_add(1);
     Count(state, "server.requests_failed");
   }
-  SendError(state, socket, reply.status(), net);
+  net::SendError(socket, reply.status(), net);
 }
 
-void HandleConnection(std::shared_ptr<State> state, net::Socket socket) {
+void HandleConnection(State& state, net::Socket socket) {
   // Every socket operation of this connection honors the drain hard
   // stop, so a stuck peer cannot outlive the grace period.
-  net::NetOptions net = state->options.net;
-  net.cancel = &state->hard_stop;
+  net::NetOptions net = state.options.net;
+  net.cancel = &state.hard_stop;
 
   // Idle timeout on the first (only) request frame.
   net::NetOptions first = net;
-  first.io_timeout_ms = state->options.idle_timeout_ms;
+  first.io_timeout_ms = state.options.idle_timeout_ms;
   Result<net::Frame> frame = socket.RecvFrame(first);
   if (!frame.ok()) {
     if (frame.status().code() == StatusCode::kDeadlineExceeded) {
-      Count(*state, "server.idle_timeouts");
+      Count(state, "server.idle_timeouts");
       obs::FlightRecorder::Global().Record("server", "idle timeout");
     }
     return;
   }
   switch (frame->type) {
     case net::FrameType::kScopeRequest:
-      HandleScope(*state, socket, *frame, net);
+      HandleScope(state, socket, *frame, net);
       return;
-    case net::FrameType::kHealth:
-      // Probes bypass admission: health must answer even (especially)
+    case net::FrameType::kStatsRequest:
+      // Bypasses admission: a health probe must answer even (especially)
       // when the server is saturated or draining.
-      (void)socket.SendFrame(net::FrameType::kHealth,
-                             EncodeHealthInfo(SnapshotHealth(*state)), net);
+      net::SendStats(socket, state.options.net.tracer, state.metrics, net);
       return;
     case net::FrameType::kShutdown:
       // The programmatic drain trigger, for tests and orchestrators
       // that cannot deliver signals.
-      state->drain_requested.store(true);
+      state.drain_requested.store(true);
       obs::FlightRecorder::Global().Record("server", "drain requested rpc");
       (void)socket.SendFrame(net::FrameType::kShutdownAck, "", net);
       return;
     default:
-      SendError(*state, socket,
-                Status::InvalidArgument(
-                    StrFormat("colscoped cannot serve frame type %u",
-                              static_cast<unsigned>(frame->type))),
-                net);
+      net::SendError(socket,
+                     Status::InvalidArgument(
+                         StrFormat("colscoped cannot serve frame type %u",
+                                   static_cast<unsigned>(frame->type))),
+                     net);
       return;
   }
-}
-
-/// Joins connection threads that have announced completion. Called from
-/// the accept loop so a long-lived daemon's thread handles (and stacks)
-/// are reclaimed continuously instead of at drain.
-void ReapFinished(State& state) {
-  std::vector<std::thread::id> done;
-  {
-    std::lock_guard<std::mutex> lock(state.threads_mu);
-    done.swap(state.finished);
-  }
-  for (const std::thread::id id : done) {
-    std::thread victim;
-    {
-      std::lock_guard<std::mutex> lock(state.threads_mu);
-      auto it = state.threads.find(id);
-      if (it == state.threads.end()) continue;
-      victim = std::move(it->second);
-      state.threads.erase(it);
-    }
-    if (victim.joinable()) victim.join();
-  }
-}
-
-void SpawnConnection(std::shared_ptr<State> state, net::Socket socket) {
-  state->active_connections.fetch_add(1);
-  auto shared = std::make_shared<net::Socket>(std::move(socket));
-  std::thread thread([state, shared]() {
-    HandleConnection(state, std::move(*shared));
-    std::lock_guard<std::mutex> lock(state->threads_mu);
-    state->finished.push_back(std::this_thread::get_id());
-    state->active_connections.fetch_sub(1);
-  });
-  std::lock_guard<std::mutex> lock(state->threads_mu);
-  const std::thread::id id = thread.get_id();
-  state->threads.emplace(id, std::move(thread));
 }
 
 }  // namespace
@@ -435,40 +288,35 @@ void ScopeServer::InstallSignalHandlers() {
   sigaction(SIGINT, &action, nullptr);
 }
 
-HealthInfo ScopeServer::Health() const { return SnapshotHealth(*state_); }
+HealthInfo ScopeServer::Health() const {
+  // The server pre-registers server.draining, so the view cannot fail.
+  return HealthFromMetrics(state_->metrics->Snapshot()).value();
+}
 
 Result<ScopeServer> ScopeServer::Create(ScopeServerOptions options) {
   Result<net::Listener> listener = net::Listener::Bind(options.listen);
   if (!listener.ok()) return listener.status();
 
-  AdmissionOptions admission;
-  admission.max_queue = options.max_queue;
-  admission.max_inflight = options.max_inflight > 0 ? options.max_inflight : 1;
-  admission.max_cost_bytes = options.max_cost_bytes;
-  admission.metrics = options.metrics;
-
   ScopeServer server;
-  server.state_ = std::make_shared<State>(std::move(options), admission);
+  server.state_ = std::make_shared<State>(std::move(options));
   State& state = *server.state_;
   state.listener = std::move(listener).value();
 
-  if (state.options.metrics != nullptr) {
-    // Pre-register the headline instruments so an idle snapshot still
-    // exports the keys (as zeroes).
-    for (const char* name :
-         {"server.requests_admitted", "server.requests_shed",
-          "server.requests_deadline_exceeded", "server.requests_completed",
-          "server.requests_failed", "server.connections_rejected",
-          "server.idle_timeouts"}) {
-      state.options.metrics->GetCounter(name);
-    }
+  // Pre-register the headline instruments so an idle snapshot still
+  // exports the keys (as zeroes).
+  for (const char* name :
+       {"server.requests_admitted", "server.requests_shed",
+        "server.requests_deadline_exceeded", "server.requests_completed",
+        "server.requests_failed", "server.connections_rejected",
+        "server.idle_timeouts"}) {
+    state.metrics->GetCounter(name);
   }
 
   if (!state.options.cache_dir.empty()) {
     cache::ArtifactCacheOptions copts;
     copts.dir = state.options.cache_dir;
     copts.max_bytes = state.options.cache_max_bytes;
-    copts.metrics = state.options.metrics;
+    copts.metrics = state.metrics;
     Result<cache::ArtifactCache> cache =
         cache::ArtifactCache::Open(std::move(copts));
     if (cache.ok()) {
@@ -483,7 +331,7 @@ Result<ScopeServer> ScopeServer::Create(ScopeServerOptions options) {
 
   if (!state.options.port_file.empty()) {
     COLSCOPE_RETURN_IF_ERROR(
-        WritePortFile(state.options.port_file, state.listener.port()));
+        net::WritePortFile(state.options.port_file, state.listener.port()));
   }
   COLSCOPE_LOG(Info) << "colscoped listening on port "
                      << state.listener.port();
@@ -491,90 +339,68 @@ Result<ScopeServer> ScopeServer::Create(ScopeServerOptions options) {
 }
 
 Status ScopeServer::Serve() {
-  State& state = *state_;
-  while (!state.drain_requested.load()) {
-    if (g_drain_signal != 0) {
+  std::shared_ptr<State> state = state_;
+  net::ServeLoop loop;
+  net::ServeLoop::Hooks hooks;
+  hooks.handle = [state](net::Socket socket) {
+    HandleConnection(*state, std::move(socket));
+  };
+  hooks.stop = [state] {
+    if (g_drain_signal != 0 && !state->drain_requested.exchange(true)) {
       obs::FlightRecorder::Global().Record("server", "drain requested signal");
-      state.drain_requested.store(true);
-      break;
     }
-    Result<net::Socket> socket =
-        state.listener.Accept(kAcceptTickMs, state.options.net);
-    ReapFinished(state);
-    if (!socket.ok()) {
-      if (socket.status().code() == StatusCode::kNotFound) continue;
-      if (socket.status().code() == StatusCode::kCancelled) break;
-      break;
-    }
-    if (state.active_connections.load() >= state.options.max_connections) {
-      // Per-connection limit: refuse before spawning anything. The
-      // typed error frame tells well-behaved clients to back off.
-      Count(state, "server.connections_rejected");
-      obs::FlightRecorder::Global().Record("server", "connection rejected");
-      net::Socket excess = std::move(socket).value();
-      SendError(state, excess,
-                Status::Overloaded(StrFormat(
-                    "connection limit reached (%zu)",
-                    state.options.max_connections)),
-                state.options.net);
-      continue;
-    }
-    SpawnConnection(state_, std::move(socket).value());
-  }
-
-  // ---- Graceful drain ----------------------------------------------
-  obs::FlightRecorder::Global().Record(
-      "server", StrFormat("drain begin inflight=%zu queued=%zu",
-                          state.admission.inflight(),
-                          state.admission.queue_depth()));
-  // Stop accepting: new connections are refused at the TCP level, and
-  // requests still arriving on accepted connections are rejected with
-  // kOverloaded by the admission gate.
-  state.admission.BeginDrain();
-  state.listener.Close();
-
-  // In-flight (and already-queued) work gets the grace period to finish
-  // or deadline out on its own.
-  double waited_ms = 0.0;
-  while (state.active_connections.load() > 0 &&
-         waited_ms < state.options.drain_grace_ms) {
-    std::this_thread::sleep_for(kDrainTick);
-    waited_ms += 10.0;
-    ReapFinished(state);
-  }
-  if (state.active_connections.load() > 0) {
-    // Grace expired: hard-stop the stragglers. Queued admissions return
-    // kCancelled, pipeline runs stop at the next phase boundary, socket
-    // waits abort — every affected request still gets a typed error.
+    return state->drain_requested.load();
+  };
+  hooks.admit = [state, &loop](net::Socket& socket) {
+    if (loop.active() < state->options.max_connections) return true;
+    // Per-connection limit: refuse before spawning anything. The typed
+    // error frame tells well-behaved clients to back off.
+    Count(*state, "server.connections_rejected");
+    obs::FlightRecorder::Global().Record("server", "connection rejected");
+    net::SendError(socket,
+                   Status::Overloaded(
+                       StrFormat("connection limit reached (%zu)",
+                                 state->options.max_connections)),
+                   state->options.net);
+    return false;
+  };
+  hooks.drain = [state, &loop] {
     obs::FlightRecorder::Global().Record(
-        "server", StrFormat("drain grace expired inflight=%zu",
-                            state.admission.inflight()));
-    state.hard_stop.Cancel();
-  }
-
-  // Join everything; handlers are deadline/cancel-aware, so this
-  // terminates.
-  for (;;) {
-    std::map<std::thread::id, std::thread> remaining;
-    {
-      std::lock_guard<std::mutex> lock(state.threads_mu);
-      remaining.swap(state.threads);
-      state.finished.clear();
+        "server", StrFormat("drain begin inflight=%zu queued=%zu",
+                            state->admission.inflight(),
+                            state->admission.queue_depth()));
+    // Stop accepting: new connections are refused at the TCP level, and
+    // requests still arriving on accepted connections are rejected with
+    // kOverloaded by the admission gate.
+    state->admission.BeginDrain();
+    state->listener.Close();
+    // In-flight (and already-queued) work gets the grace period to
+    // finish or deadline out on its own.
+    if (!loop.WaitIdle(state->options.drain_grace_ms)) {
+      // Grace expired: hard-stop the stragglers. Queued admissions
+      // return kCancelled, pipeline runs stop at the next phase
+      // boundary, socket waits abort — every affected request still
+      // gets a typed error, and the loop's final join terminates.
+      obs::FlightRecorder::Global().Record(
+          "server", StrFormat("drain grace expired inflight=%zu",
+                              state->admission.inflight()));
+      state->hard_stop.Cancel();
     }
-    if (remaining.empty()) break;
-    for (auto& [id, thread] : remaining) {
-      if (thread.joinable()) thread.join();
-    }
+  };
+  const Status served = loop.Serve(state->listener, state->options.net, hooks);
+  if (!served.ok()) {
+    obs::FlightRecorder::Global().Record(
+        "server", StrFormat("listener failed %s",
+                            StatusCodeToString(served.code())));
   }
-
+  const HealthInfo health = Health();
   obs::FlightRecorder::Global().Record(
       "server",
       StrFormat("drain complete completed=%llu shed=%llu timeouts=%llu",
-                static_cast<unsigned long long>(state.completed.load()),
-                static_cast<unsigned long long>(state.shed.load()),
-                static_cast<unsigned long long>(
-                    state.deadline_exceeded.load())));
-  return Status::Ok();
+                static_cast<unsigned long long>(health.completed),
+                static_cast<unsigned long long>(health.shed),
+                static_cast<unsigned long long>(health.deadline_exceeded)));
+  return served;
 }
 
 }  // namespace colscope::server

@@ -50,7 +50,8 @@ struct ScopeServerOptions {
   /// Worker threads per request's pipeline run (1 = serial). Reports are
   /// byte-identical at any setting.
   size_t threads = 1;
-  /// Borrowed registry for the server.* instruments; may be null.
+  /// Borrowed registry for the server.* instruments; null makes the
+  /// server own one (health and the kStats reply always read a registry).
   obs::MetricsRegistry* metrics = nullptr;
   /// Socket discipline for request/response frames (io timeout, tracer,
   /// metrics). The cancel field is overridden internally by the drain
@@ -59,9 +60,11 @@ struct ScopeServerOptions {
 };
 
 /// The long-running scoping daemon: keeps the encoder, artifact cache,
-/// and detector resident, and serves kScopeRequest / kHealth /
-/// kShutdown over the frame protocol — one request per connection, the
-/// worker-protocol idiom. Robustness lifecycle:
+/// and detector resident, and serves kScopeRequest / kStatsRequest /
+/// kShutdown over the frame protocol on the worker's serving loop
+/// (net::ServeLoop) — one request per connection. kStatsRequest gets the
+/// same colscope-stats v1 reply a distributed worker sends; health is a
+/// view over it (HealthFromMetrics). Robustness lifecycle:
 ///
 ///   accept -> admit (bounded queue, cost budget) -> execute under the
 ///   request deadline -> reply | typed kError
@@ -70,7 +73,9 @@ struct ScopeServerOptions {
 /// graceful drain: the listener closes (new connections are refused),
 /// queued-but-unadmitted requests are rejected with kOverloaded,
 /// in-flight requests finish or deadline out within drain_grace_ms, and
-/// Serve() returns Ok so the process can flush telemetry and exit 0.
+/// Serve() returns Ok so the process can flush telemetry and exit 0. A
+/// listener failure (e.g. accept hitting the descriptor limit) drains
+/// the same way, then Serve() returns the failure.
 class ScopeServer {
  public:
   static Result<ScopeServer> Create(ScopeServerOptions options);
@@ -78,7 +83,7 @@ class ScopeServer {
   uint16_t port() const;
 
   /// Serves until a drain completes. Returns Ok after a clean drain;
-  /// non-OK only for listener-level failures.
+  /// after a listener-level failure, drains and returns that failure.
   Status Serve();
 
   /// Thread-safe drain trigger (the programmatic SIGTERM).
@@ -90,7 +95,8 @@ class ScopeServer {
   /// it between accept ticks.
   void InstallSignalHandlers();
 
-  /// Current lifecycle + accounting snapshot (what kHealth reports).
+  /// Current lifecycle + accounting snapshot: the view RequestHealth
+  /// computes from a kStats reply, read from the server's own registry.
   HealthInfo Health() const;
 
   struct State;

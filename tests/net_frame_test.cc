@@ -325,10 +325,10 @@ TEST(FrameTest, ServerFrameTypesRoundTrip) {
   auto response = DecodeFrame(EncodeFrame(FrameType::kScopeResponse, "{}"));
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->type, FrameType::kScopeResponse);
-  auto health = DecodeFrame(EncodeFrame(FrameType::kHealth, ""));
-  ASSERT_TRUE(health.ok());
-  EXPECT_EQ(health->type, FrameType::kHealth);
-  EXPECT_TRUE(IsKnownFrameType(static_cast<uint8_t>(FrameType::kHealth)));
+  EXPECT_TRUE(
+      IsKnownFrameType(static_cast<uint8_t>(FrameType::kScopeResponse)));
+  // 14 is retired: a frame carrying it is rejected from its header.
+  EXPECT_FALSE(IsKnownFrameType(14));
 }
 
 TEST(FrameTest, FrameTypeNamesAreStable) {
@@ -342,7 +342,6 @@ TEST(FrameTest, FrameTypeNamesAreStable) {
   EXPECT_STREQ(FrameTypeToString(FrameType::kScopeRequest), "scope_request");
   EXPECT_STREQ(FrameTypeToString(FrameType::kScopeResponse),
                "scope_response");
-  EXPECT_STREQ(FrameTypeToString(FrameType::kHealth), "health");
   EXPECT_STREQ(FrameTypeToString(static_cast<FrameType>(99)), "unknown");
 }
 

@@ -1,9 +1,14 @@
-// Resident-server tests: the scope-request/health codecs, the admission
-// controller's typed shedding, and the full daemon lifecycle in-process —
-// byte-identity with a direct pipeline run, overload shedding, request
-// deadlines, and SIGTERM-initiated graceful drain.
+// Resident-server tests: the scope-request codec and the health view, the
+// admission controller's typed shedding, and the full daemon lifecycle
+// in-process — byte-identity with a direct pipeline run, overload
+// shedding, request deadlines, SIGTERM-initiated graceful drain, and a
+// listener failure that drains and then fails Serve().
 
 #include <gtest/gtest.h>
+
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <csignal>
@@ -16,7 +21,10 @@
 #include "common/status.h"
 #include "embed/hashed_encoder.h"
 #include "matching/sim.h"
+#include "net/rpc.h"
 #include "net/socket.h"
+#include "net/telemetry.h"
+#include "obs/metrics.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/report.h"
 #include "schema/ddl_parser.h"
@@ -117,27 +125,39 @@ TEST(ScopeProtocolTest, MalformedRequestsAreTypedErrors) {
   }
 }
 
-TEST(ScopeProtocolTest, HealthRoundTrips) {
-  HealthInfo info;
-  info.state = "draining";
-  info.queue_depth = 3;
-  info.inflight = 2;
-  info.admitted = 10;
-  info.shed = 4;
-  info.deadline_exceeded = 1;
-  info.completed = 8;
-  info.failed = 2;
-  auto decoded = DecodeHealthInfo(EncodeHealthInfo(info));
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->state, "draining");
-  EXPECT_EQ(decoded->queue_depth, 3u);
-  EXPECT_EQ(decoded->inflight, 2u);
-  EXPECT_EQ(decoded->admitted, 10u);
-  EXPECT_EQ(decoded->shed, 4u);
-  EXPECT_EQ(decoded->deadline_exceeded, 1u);
-  EXPECT_EQ(decoded->completed, 8u);
-  EXPECT_EQ(decoded->failed, 2u);
-  EXPECT_FALSE(DecodeHealthInfo("bogus").ok());
+TEST(ScopeProtocolTest, HealthIsAViewOverAStatsRoundTrip) {
+  obs::MetricsRegistry registry;
+  registry.GetGauge("server.draining").Set(1.0);
+  registry.GetGauge("server.queue_depth").Set(3.0);
+  registry.GetGauge("server.inflight").Set(2.0);
+  registry.GetCounter("server.requests_admitted").Increment(10);
+  registry.GetCounter("server.requests_shed").Increment(4);
+  registry.GetCounter("server.requests_deadline_exceeded").Increment(1);
+  registry.GetCounter("server.requests_completed").Increment(8);
+  registry.GetCounter("server.requests_failed").Increment(2);
+  registry.GetCounter("cache.hits").Increment(7);  // Not part of the view.
+  net::WorkerTelemetry telemetry;
+  telemetry.metrics = registry.Snapshot();
+  auto stats = net::DecodeStats(net::EncodeStats(telemetry));
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  auto health = HealthFromMetrics(stats->metrics);
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health->state, "draining");
+  EXPECT_EQ(health->queue_depth, 3u);
+  EXPECT_EQ(health->inflight, 2u);
+  EXPECT_EQ(health->admitted, 10u);
+  EXPECT_EQ(health->shed, 4u);
+  EXPECT_EQ(health->deadline_exceeded, 1u);
+  EXPECT_EQ(health->completed, 8u);
+  EXPECT_EQ(health->failed, 2u);
+
+  // A stats reply without the server gauges (a distributed worker's, say)
+  // is not a colscoped health view.
+  net::WorkerTelemetry worker;
+  worker.metrics.counters.emplace_back("net.frames_sent", 3);
+  auto not_a_server =
+      HealthFromMetrics(net::DecodeStats(net::EncodeStats(worker))->metrics);
+  EXPECT_EQ(not_a_server.status().code(), StatusCode::kInvalidArgument);
 }
 
 // --- Admission ---------------------------------------------------------------
@@ -419,6 +439,70 @@ TEST_F(ScopeServerTest, SigtermDrainsInFlightWorkThenStops) {
   net.connect_timeout_ms = 500.0;
   auto late = RequestScope(live.endpoint, MakeRequest(), net);
   EXPECT_FALSE(late.ok());
+}
+
+TEST_F(ScopeServerTest, StatsRequestGetsTheWorkerTelemetryReply) {
+  LiveServer& live = StartServer();
+  net::NetOptions net;
+  ASSERT_TRUE(RequestScope(live.endpoint, MakeRequest(), net).ok());
+  // The same colscope-stats v1 reply a distributed worker sends; health
+  // is read from it.
+  auto reply =
+      net::Call(live.endpoint, net::FrameType::kStatsRequest, "", net);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_EQ(reply->type, net::FrameType::kStats);
+  auto stats = net::DecodeStats(reply->payload);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  auto health = HealthFromMetrics(stats->metrics);
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health->state, "serving");
+  EXPECT_EQ(health->completed, 1u);
+  EXPECT_EQ(health->inflight, 0u);
+  const HealthInfo local = live.server.Health();
+  EXPECT_EQ(local.state, health->state);
+  EXPECT_EQ(local.completed, health->completed);
+  EXPECT_EQ(local.admitted, health->admitted);
+}
+
+/// Restores the process's descriptor limit when it goes out of scope.
+class ScopedFdLimit {
+ public:
+  ScopedFdLimit() { getrlimit(RLIMIT_NOFILE, &saved_); }
+  ~ScopedFdLimit() { setrlimit(RLIMIT_NOFILE, &saved_); }
+  bool Lower(rlim_t soft) {
+    struct rlimit tight = saved_;
+    tight.rlim_cur = soft;
+    return setrlimit(RLIMIT_NOFILE, &tight) == 0;
+  }
+
+ private:
+  struct rlimit saved_ {};
+};
+
+TEST_F(ScopeServerTest, ListenerFailureDrainsThenFailsServe) {
+  LiveServer& live = StartServer();
+  net::NetOptions net;
+  net.connect_timeout_ms = 2000.0;
+  net.io_timeout_ms = 5000.0;
+  {
+    // Leave exactly one free descriptor: the client's socket takes it,
+    // so the server's accept() of that connection fails with EMFILE.
+    const int probe = open("/dev/null", O_RDONLY);
+    ASSERT_GE(probe, 0);
+    close(probe);
+    ScopedFdLimit limit;
+    ASSERT_TRUE(limit.Lower(static_cast<rlim_t>(probe) + 1));
+    EXPECT_FALSE(RequestHealth(live.endpoint, net).ok());
+    live.thread.join();
+  }
+  // Serve() drained (the listener is closed, nothing is left running)
+  // and then reported the listener's failure instead of Ok.
+  EXPECT_FALSE(live.serve_status.ok());
+  EXPECT_EQ(live.serve_status.code(), StatusCode::kUnavailable)
+      << live.serve_status.ToString();
+  EXPECT_EQ(live.server.Health().state, "draining");
+  net.connect_timeout_ms = 500.0;
+  EXPECT_FALSE(RequestHealth(live.endpoint, net).ok());
 }
 
 TEST_F(ScopeServerTest, ShutdownRpcDrainsLikeSigterm) {

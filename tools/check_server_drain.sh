@@ -6,7 +6,8 @@
 # Four phases:
 #   1. Warm byte-identity: a daemon with a resident artifact cache must
 #      answer `match --json` requests byte-identical to the cold CLI —
-#      on the first (cold-cache) request and on the warm repeat.
+#      on the first (cold-cache) request and on the warm repeat, and
+#      with --matcher ivf and --matcher tbsim.
 #   2. Crash recovery: kill -9 the daemon, restart it over the same
 #      cache directory; the warm answer must still be byte-identical.
 #      A programmatic `shutdown` RPC must then drain it to exit 0.
@@ -88,6 +89,21 @@ grep -q '^completed 2$' "$scratch/health.txt" || {
   cat "$scratch/health.txt" >&2
   exit 1
 }
+
+# The daemon builds its matcher with the cold CLI's factory, so every
+# matcher the cold CLI knows is served byte-identically too.
+for matcher in ivf tbsim; do
+  # shellcheck disable=SC2086
+  "$cli" match $ddls --v 0.6 --matcher "$matcher" --json \
+    > "$scratch/cold-$matcher.json"
+  # shellcheck disable=SC2086
+  "$cli" match $ddls --v 0.6 --matcher "$matcher" --json \
+    --connect "127.0.0.1:$port" > "$scratch/warm-$matcher.json"
+  cmp "$scratch/cold-$matcher.json" "$scratch/warm-$matcher.json" || {
+    echo "FAIL: --matcher $matcher server answer differs from cold run" >&2
+    exit 1
+  }
+done
 
 # ---- Phase 2: crash recovery over the same cache --------------------
 

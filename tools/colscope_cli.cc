@@ -52,11 +52,7 @@
 #include "exchange/exchange.h"
 #include "linalg/simd/kernels.h"
 #include "linalg/stats.h"
-#include "matching/cluster_matcher.h"
-#include "matching/lsh_matcher.h"
-#include "matching/sim.h"
-#include "matching/string_matcher.h"
-#include "matching/token_blocking.h"
+#include "matching/matcher.h"
 #include "net/coordinator.h"
 #include "net/worker.h"
 #include "server/client.h"
@@ -64,10 +60,7 @@
 #include "outlier/pca_oda.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/report.h"
-#include "datasets/csv_loader.h"
 #include "datasets/synthetic_corpus.h"
-#include "matching/ivf_index.h"
-#include "schema/ddl_parser.h"
 #include "schema/ddl_writer.h"
 #include "scoping/explain.h"
 #include "scoping/model_io.h"
@@ -85,9 +78,11 @@ struct CliArgs {
   std::string out_path;
   double v = 0.8;
   double keep_portion = 0.5;
-  double param = -1.0;
   std::string scoper = "pca";
-  std::string matcher = "sim";
+  // --matcher, --param, and the --quantized (int8 prefilter for
+  // lsh/tbsim) and IVF knobs --nprobe, --num-lists, --token-prefilter
+  // (docs/SCALING.md).
+  matching::MatcherSpec matcher;
   std::string faults;           // --faults drop=0.3,corrupt=0.1,seed=42
   std::string exchange_policy;  // --exchange-policy keep-all|quorum:2|...
   std::string log_level;        // --log-level debug|info|warn|error|off
@@ -101,11 +96,6 @@ struct CliArgs {
   std::string crash_after;      // --crash-after PHASE (test hook)
   size_t threads = 1;           // --threads N (1 = serial, 0 = hardware)
   std::string kernels;          // --kernels scalar|native ("" = auto)
-  bool quantized = false;       // --quantized (int8 prefilter for lsh/tbsim)
-  // IVF matcher knobs (--matcher ivf, docs/SCALING.md).
-  size_t nprobe = 8;            // --nprobe N (cells probed per query)
-  size_t num_lists = 0;         // --num-lists N (0 = sqrt(n), 1 = flat)
-  bool token_prefilter = false;  // --token-prefilter (compose blocking)
   // gen-corpus knobs (docs/SCALING.md).
   uint64_t seed = 0xC0905;      // --seed N
   size_t corpus_schemas = 6;    // --schemas K
@@ -235,7 +225,7 @@ bool ParseArgs(int argc, char** argv, CliArgs& args) {
     } else if (flag == "--param") {
       const char* value = next();
       if (value == nullptr) return false;
-      args.param = std::atof(value);
+      args.matcher.param = std::atof(value);
     } else if (flag == "--scoper") {
       const char* value = next();
       if (value == nullptr) return false;
@@ -243,7 +233,7 @@ bool ParseArgs(int argc, char** argv, CliArgs& args) {
     } else if (flag == "--matcher") {
       const char* value = next();
       if (value == nullptr) return false;
-      args.matcher = value;
+      args.matcher.name = value;
     } else if (flag == "--faults") {
       const char* value = next();
       if (value == nullptr) return false;
@@ -357,21 +347,21 @@ bool ParseArgs(int argc, char** argv, CliArgs& args) {
       if (value == nullptr) return false;
       args.kernels = value;
     } else if (flag == "--quantized") {
-      args.quantized = true;
+      args.matcher.quantized = true;
     } else if (flag == "--nprobe") {
       const char* value = next();
       if (value == nullptr) return false;
       const long long n = std::atoll(value);
       if (n < 1) return false;
-      args.nprobe = static_cast<size_t>(n);
+      args.matcher.nprobe = static_cast<size_t>(n);
     } else if (flag == "--num-lists") {
       const char* value = next();
       if (value == nullptr) return false;
       const long long n = std::atoll(value);
       if (n < 0) return false;
-      args.num_lists = static_cast<size_t>(n);
+      args.matcher.num_lists = static_cast<size_t>(n);
     } else if (flag == "--token-prefilter") {
-      args.token_prefilter = true;
+      args.matcher.token_prefilter = true;
     } else if (flag == "--seed") {
       const char* value = next();
       if (value == nullptr) return false;
@@ -446,85 +436,38 @@ std::string Basename(const std::string& path) {
   return name;
 }
 
-Result<schema::SchemaSet> LoadSchemas(const CliArgs& args) {
-  std::vector<schema::Schema> schemas;
-  for (const std::string& path : args.ddl_paths) {
-    std::ifstream in(path);
-    if (!in) {
-      return Status::NotFound("cannot open DDL file: " + path);
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    Result<schema::Schema> parsed =
-        schema::ParseDdl(text.str(), Basename(path));
-    if (!parsed.ok()) {
-      return Status::InvalidArgument(path + ": " +
-                                     parsed.status().message());
-    }
-    schemas.push_back(std::move(parsed).value());
-  }
-  for (const std::string& path : args.csv_paths) {
-    std::ifstream in(path);
-    if (!in) {
-      return Status::NotFound("cannot open CSV file: " + path);
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    datasets::CsvLoadOptions options;
-    options.table_name = Basename(path);
-    Result<schema::Schema> loaded =
-        datasets::LoadCsvSchema(text.str(), Basename(path), options);
-    if (!loaded.ok()) {
-      return Status::InvalidArgument(path + ": " +
-                                     loaded.status().message());
-    }
-    schemas.push_back(std::move(loaded).value());
-  }
-  return schema::SchemaSet(std::move(schemas));
-}
-
-std::unique_ptr<matching::Matcher> MakeMatcher(const CliArgs& args,
-                                               ThreadPool* pool) {
-  if (args.matcher == "sim") {
-    return std::make_unique<matching::SimMatcher>(
-        args.param >= 0 ? args.param : 0.6, pool);
-  }
-  if (args.matcher == "cluster") {
-    return std::make_unique<matching::ClusterMatcher>(
-        args.param >= 0 ? static_cast<size_t>(args.param) : 5);
-  }
-  if (args.matcher == "lsh") {
-    return std::make_unique<matching::LshMatcher>(
-        args.param >= 0 ? static_cast<size_t>(args.param) : 1,
-        /*approximate=*/false, args.quantized);
-  }
-  if (args.matcher == "tbsim") {
-    return std::make_unique<matching::TokenBlockedSimMatcher>(
-        args.param >= 0 ? args.param : 0.6, args.quantized);
-  }
-  if (args.matcher == "str") {
-    return std::make_unique<matching::StringSimilarityMatcher>(
-        matching::StringSimilarityMatcher::Measure::kJaroWinkler,
-        args.param >= 0 ? args.param : 0.9);
-  }
-  if (args.matcher == "ivf") {
-    matching::IvfMatcher::Options options;
-    options.top_k = args.param >= 0 ? static_cast<size_t>(args.param) : 5;
-    options.num_lists = args.num_lists;
-    options.nprobe = args.nprobe;
-    options.quantized = args.quantized;
-    options.token_prefilter = args.token_prefilter;
-    return std::make_unique<matching::IvfMatcher>(options, pool);
-  }
-  return nullptr;
-}
-
 Result<std::string> ReadFile(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Status::NotFound("cannot open file: " + path);
   std::ostringstream text;
   text << in.rdbuf();
   return text.str();
+}
+
+/// Every --ddl, then every --csv, read into the entries a scope request
+/// ships — the schema-set order the report depends on. The cold path
+/// parses them with the same pipeline::BuildSchemaSet colscoped uses.
+Result<std::vector<pipeline::SchemaSource>> ReadSchemaSources(
+    const CliArgs& args) {
+  std::vector<pipeline::SchemaSource> sources;
+  for (const auto& [kind, paths] :
+       {std::pair<const char*, const std::vector<std::string>*>{
+            "ddl", &args.ddl_paths},
+        {"csv", &args.csv_paths}}) {
+    for (const std::string& path : *paths) {
+      Result<std::string> text = ReadFile(path);
+      if (!text.ok()) return text.status();
+      sources.push_back({kind, Basename(path), std::move(text).value()});
+    }
+  }
+  return sources;
+}
+
+Result<schema::SchemaSet> LoadSchemas(const CliArgs& args) {
+  Result<std::vector<pipeline::SchemaSource>> sources =
+      ReadSchemaSources(args);
+  if (!sources.ok()) return sources.status();
+  return pipeline::BuildSchemaSet(*sources);
 }
 
 bool WriteTextFile(const std::string& path, const std::string& text) {
@@ -563,6 +506,44 @@ void DumpFlightToStderr() {
                  static_cast<unsigned long long>(event.seq),
                  event.kind.c_str(), event.detail.c_str());
   }
+}
+
+/// The HOST:PORT value of `flag`, or nullopt after printing why it does
+/// not parse — a usage error, exit 2.
+std::optional<net::Endpoint> EndpointFlag(const char* flag,
+                                          const std::string& value) {
+  Result<net::Endpoint> endpoint = net::ParseEndpoint(value);
+  if (!endpoint.ok()) {
+    std::fprintf(stderr, "%s: %s\n", flag,
+                 endpoint.status().ToString().c_str());
+    return std::nullopt;
+  }
+  return *endpoint;
+}
+
+/// The tail of a serving role (worker, colscoped) once Serve() returned:
+/// writes --metrics-out (and --trace-out when `tracer` is set) even after
+/// a failed serve loop — that is exactly when they are most interesting —
+/// then reports the failure with the flight-recorder ledger. False means
+/// exit 1.
+bool FinishServing(const CliArgs& args, const Status& served,
+                   const obs::MetricsRegistry& registry,
+                   const obs::Tracer* tracer) {
+  if (!args.metrics_out.empty() &&
+      !WriteTextFile(args.metrics_out,
+                     obs::SnapshotToJsonString(registry.Snapshot()))) {
+    return false;
+  }
+  if (tracer != nullptr && !args.trace_out.empty() &&
+      !WriteTextFile(args.trace_out, tracer->ToChromeJson())) {
+    return false;
+  }
+  if (!served.ok()) {
+    std::fprintf(stderr, "%s\n", served.ToString().c_str());
+    DumpFlightToStderr();
+    return false;
+  }
+  return true;
 }
 
 /// `colscope gen-corpus`: render a seeded synthetic schema corpus
@@ -711,12 +692,9 @@ int RunWorker(const CliArgs& args) {
   const embed::HashedLexiconEncoder encoder;
   const auto signatures = scoping::BuildSignatures(*set, encoder);
 
-  Result<net::Endpoint> listen = net::ParseEndpoint(args.listen);
-  if (!listen.ok()) {
-    std::fprintf(stderr, "--listen: %s\n",
-                 listen.status().ToString().c_str());
-    return 2;
-  }
+  const std::optional<net::Endpoint> listen =
+      EndpointFlag("--listen", args.listen);
+  if (!listen.has_value()) return 2;
   if (args.trace_clock != "real" && args.trace_clock != "sim") {
     std::fprintf(stderr, "unknown trace clock (want real|sim): %s\n",
                  args.trace_clock.c_str());
@@ -746,24 +724,7 @@ int RunWorker(const CliArgs& args) {
   }
   std::fprintf(stderr, "# worker listening on %s:%u\n",
                listen->host.c_str(), server->port());
-  Status served = server->Serve();
-  // Local telemetry copies are written even after a failed serve loop —
-  // that is exactly when they are most interesting.
-  if (!args.metrics_out.empty() &&
-      !WriteTextFile(args.metrics_out,
-                     obs::SnapshotToJsonString(registry.Snapshot()))) {
-    return 1;
-  }
-  if (!args.trace_out.empty() &&
-      !WriteTextFile(args.trace_out, tracer.ToChromeJson())) {
-    return 1;
-  }
-  if (!served.ok()) {
-    std::fprintf(stderr, "%s\n", served.ToString().c_str());
-    DumpFlightToStderr();
-    return 1;
-  }
-  return 0;
+  return FinishServing(args, server->Serve(), registry, &tracer) ? 0 : 1;
 }
 
 /// `--role coordinator`: shards the schemas over worker processes, runs
@@ -801,12 +762,9 @@ int RunCoordinator(const CliArgs& args) {
 
   net::CoordinatorOptions options;
   for (const std::string& spec : args.workers) {
-    Result<net::Endpoint> endpoint = net::ParseEndpoint(spec);
-    if (!endpoint.ok()) {
-      std::fprintf(stderr, "--workers: %s\n",
-                   endpoint.status().ToString().c_str());
-      return 2;
-    }
+    const std::optional<net::Endpoint> endpoint =
+        EndpointFlag("--workers", spec);
+    if (!endpoint.has_value()) return 2;
     options.workers.push_back(*endpoint);
   }
   options.v = args.v;
@@ -897,9 +855,9 @@ int RunCoordinator(const CliArgs& args) {
   std::optional<ThreadPool> pool;
   if (args.threads != 1) pool.emplace(args.threads);
   std::unique_ptr<matching::Matcher> matcher =
-      MakeMatcher(args, pool.has_value() ? &*pool : nullptr);
+      matching::MakeMatcher(args.matcher, pool.has_value() ? &*pool : nullptr);
   if (matcher == nullptr) {
-    std::fprintf(stderr, "unknown matcher: %s\n", args.matcher.c_str());
+    std::fprintf(stderr, "unknown matcher: %s\n", args.matcher.name.c_str());
     return 2;
   }
 
@@ -972,12 +930,9 @@ int RunCoordinator(const CliArgs& args) {
 /// (docs/SERVER.md). Keeps encoder + artifact cache warm and serves
 /// scope requests until SIGTERM (or a kShutdown frame) drains it.
 int RunServe(const CliArgs& args) {
-  Result<net::Endpoint> listen = net::ParseEndpoint(args.listen);
-  if (!listen.ok()) {
-    std::fprintf(stderr, "--listen: %s\n",
-                 listen.status().ToString().c_str());
-    return 2;
-  }
+  const std::optional<net::Endpoint> listen =
+      EndpointFlag("--listen", args.listen);
+  if (!listen.has_value()) return 2;
   obs::MetricsRegistry registry;
   server::ScopeServerOptions options;
   options.listen = *listen;
@@ -1004,19 +959,7 @@ int RunServe(const CliArgs& args) {
   daemon->InstallSignalHandlers();
   std::fprintf(stderr, "# colscoped listening on %s:%u\n",
                listen->host.c_str(), daemon->port());
-  const Status served = daemon->Serve();
-  // Flush telemetry after the drain — the snapshot is part of the
-  // graceful-exit contract even (especially) when serving failed.
-  if (!args.metrics_out.empty() &&
-      !WriteTextFile(args.metrics_out,
-                     obs::SnapshotToJsonString(registry.Snapshot()))) {
-    return 1;
-  }
-  if (!served.ok()) {
-    std::fprintf(stderr, "%s\n", served.ToString().c_str());
-    DumpFlightToStderr();
-    return 1;
-  }
+  if (!FinishServing(args, daemon->Serve(), registry, nullptr)) return 1;
   const server::HealthInfo health = daemon->Health();
   std::fprintf(stderr,
                "# colscoped drained: completed=%llu shed=%llu "
@@ -1040,6 +983,17 @@ net::NetOptions ClientNetOptions(const CliArgs& args) {
   return net;
 }
 
+/// The daemon a client command talks to (--connect HOST:PORT), or
+/// nullopt after printing why — a usage error, exit 2.
+std::optional<net::Endpoint> ConnectEndpoint(const CliArgs& args) {
+  if (args.connect.empty()) {
+    std::fprintf(stderr, "%s requires --connect HOST:PORT\n",
+                 args.command.c_str());
+    return std::nullopt;
+  }
+  return EndpointFlag("--connect", args.connect);
+}
+
 /// `colscope scope|match --connect H:P --json`: ships the schemas to a
 /// resident daemon and prints the JSON report it returns — byte-identical
 /// to the same cold `--json` invocation.
@@ -1048,45 +1002,35 @@ int RunScopeClient(const CliArgs& args) {
     std::fprintf(stderr, "--connect requires --json\n");
     return 2;
   }
-  Result<net::Endpoint> endpoint = net::ParseEndpoint(args.connect);
-  if (!endpoint.ok()) {
-    std::fprintf(stderr, "--connect: %s\n",
-                 endpoint.status().ToString().c_str());
+  const std::optional<net::Endpoint> endpoint = ConnectEndpoint(args);
+  if (!endpoint.has_value()) return 2;
+  // A scope request carries only the matcher's name and parameter:
+  // refuse the knobs it cannot ship rather than silently serving their
+  // defaults.
+  const matching::MatcherSpec defaults;
+  if (args.matcher.nprobe != defaults.nprobe ||
+      args.matcher.num_lists != defaults.num_lists ||
+      args.matcher.quantized != defaults.quantized ||
+      args.matcher.token_prefilter != defaults.token_prefilter) {
+    std::fprintf(stderr,
+                 "--connect cannot carry --nprobe, --num-lists, "
+                 "--token-prefilter or --quantized\n");
     return 2;
   }
   server::ScopeRequest request;
   request.scoper = args.scoper;
-  request.matcher = args.matcher;
-  request.param = args.param;
+  request.matcher = args.matcher.name;
+  request.param = args.matcher.param;
   request.v = args.v;
   request.keep_portion = args.keep_portion;
   request.deadline_ms = args.deadline_ms;
-  // Same order as LoadSchemas: every --ddl, then every --csv — the
-  // schema-set order the report depends on.
-  for (const std::string& path : args.ddl_paths) {
-    Result<std::string> text = ReadFile(path);
-    if (!text.ok()) {
-      std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-      return 1;
-    }
-    server::ScopeRequestSchema schema;
-    schema.kind = "ddl";
-    schema.name = Basename(path);
-    schema.text = std::move(text).value();
-    request.schemas.push_back(std::move(schema));
+  Result<std::vector<pipeline::SchemaSource>> sources =
+      ReadSchemaSources(args);
+  if (!sources.ok()) {
+    std::fprintf(stderr, "%s\n", sources.status().ToString().c_str());
+    return 1;
   }
-  for (const std::string& path : args.csv_paths) {
-    Result<std::string> text = ReadFile(path);
-    if (!text.ok()) {
-      std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-      return 1;
-    }
-    server::ScopeRequestSchema schema;
-    schema.kind = "csv";
-    schema.name = Basename(path);
-    schema.text = std::move(text).value();
-    request.schemas.push_back(std::move(schema));
-  }
+  request.schemas = std::move(sources).value();
   Result<std::string> report =
       server::RequestScope(*endpoint, request, ClientNetOptions(args));
   if (!report.ok()) {
@@ -1101,16 +1045,8 @@ int RunScopeClient(const CliArgs& args) {
 
 /// `colscope health --connect H:P`: lifecycle + accounting probe.
 int RunHealthClient(const CliArgs& args) {
-  if (args.connect.empty()) {
-    std::fprintf(stderr, "health requires --connect HOST:PORT\n");
-    return 2;
-  }
-  Result<net::Endpoint> endpoint = net::ParseEndpoint(args.connect);
-  if (!endpoint.ok()) {
-    std::fprintf(stderr, "--connect: %s\n",
-                 endpoint.status().ToString().c_str());
-    return 2;
-  }
+  const std::optional<net::Endpoint> endpoint = ConnectEndpoint(args);
+  if (!endpoint.has_value()) return 2;
   net::NetOptions net;
   Result<server::HealthInfo> health = server::RequestHealth(*endpoint, net);
   if (!health.ok()) {
@@ -1134,16 +1070,8 @@ int RunHealthClient(const CliArgs& args) {
 
 /// `colscope shutdown --connect H:P`: programmatic drain trigger.
 int RunShutdownClient(const CliArgs& args) {
-  if (args.connect.empty()) {
-    std::fprintf(stderr, "shutdown requires --connect HOST:PORT\n");
-    return 2;
-  }
-  Result<net::Endpoint> endpoint = net::ParseEndpoint(args.connect);
-  if (!endpoint.ok()) {
-    std::fprintf(stderr, "--connect: %s\n",
-                 endpoint.status().ToString().c_str());
-    return 2;
-  }
+  const std::optional<net::Endpoint> endpoint = ConnectEndpoint(args);
+  if (!endpoint.has_value()) return 2;
   net::NetOptions net;
   const Status status = server::RequestShutdown(*endpoint, net);
   if (!status.ok()) {
@@ -1223,18 +1151,15 @@ int RunPipeline(const CliArgs& args) {
     std::fprintf(stderr, "--cache-max-bytes requires --cache-dir\n");
     return 2;
   }
-  if (args.scoper == "pca") {
-    options.scoper = pipeline::ScoperKind::kCollaborativePca;
-  } else if (args.scoper == "neural") {
-    options.scoper = pipeline::ScoperKind::kCollaborativeNeural;
-  } else if (args.scoper == "global") {
-    options.scoper = pipeline::ScoperKind::kGlobalScoping;
-    options.detector = &detector;
-  } else if (args.scoper == "none") {
-    options.scoper = pipeline::ScoperKind::kNone;
-  } else {
-    std::fprintf(stderr, "unknown scoper: %s\n", args.scoper.c_str());
+  Result<pipeline::ScoperKind> scoper =
+      pipeline::ParseScoperKind(args.scoper);
+  if (!scoper.ok()) {
+    std::fprintf(stderr, "%s\n", scoper.status().message().c_str());
     return 2;
+  }
+  options.scoper = *scoper;
+  if (options.scoper == pipeline::ScoperKind::kGlobalScoping) {
+    options.detector = &detector;
   }
 
   if (!args.faults.empty() || !args.exchange_policy.empty()) {
@@ -1261,9 +1186,9 @@ int RunPipeline(const CliArgs& args) {
   }
 
   std::unique_ptr<matching::Matcher> matcher =
-      MakeMatcher(args, pool.has_value() ? &*pool : nullptr);
+      matching::MakeMatcher(args.matcher, pool.has_value() ? &*pool : nullptr);
   if (matcher == nullptr) {
-    std::fprintf(stderr, "unknown matcher: %s\n", args.matcher.c_str());
+    std::fprintf(stderr, "unknown matcher: %s\n", args.matcher.name.c_str());
     return 2;
   }
 

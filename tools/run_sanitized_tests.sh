@@ -7,7 +7,9 @@
 #      disk — plus the SIMD/int8 kernel equivalence battery (unaligned
 #      loads, padded quantized stores — exactly what ASan is for);
 #   2. TSan over the concurrency-facing tests (thread pool, metrics
-#      registry, cancellation tokens) — races, not leaks.
+#      registry, cancellation tokens, and the shared serving loop that
+#      the distributed worker and colscoped drive from many connection
+#      threads) — races, not leaks.
 # Usage: run_sanitized_tests.sh [BUILD_DIR_PREFIX]
 #   (default: <repo>/build-sanitized; TSan uses <prefix>-tsan)
 set -e
@@ -15,7 +17,7 @@ root="$(cd "$(dirname "$0")/.." && pwd)"
 build="${1:-$root/build-sanitized}"
 
 asan_tests='exchange_test|model_corruption_test|model_io_test|robustness_test|simd_kernels_test|cache_test|pipeline_test'
-tsan_tests='thread_pool_test|obs_test|cancellation_test|parallel_paths_test'
+tsan_tests='thread_pool_test|obs_test|cancellation_test|parallel_paths_test|server_test|tcp_transport_test'
 
 # Compile through ccache when it is installed (the CI jobs restore a
 # per-job cache); plain compilation otherwise.
@@ -38,5 +40,6 @@ cmake -B "$build-tsan" -S "$root" $launcher_flags \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCOLSCOPE_TSAN=ON
 cmake --build "$build-tsan" -j \
-  --target thread_pool_test obs_test cancellation_test parallel_paths_test
+  --target thread_pool_test obs_test cancellation_test parallel_paths_test \
+  server_test tcp_transport_test
 (cd "$build-tsan" && ctest --output-on-failure -R "^($tsan_tests)\$")
