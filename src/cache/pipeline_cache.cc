@@ -365,39 +365,35 @@ Result<std::vector<scoping::LocalModel>> PipelineCache::FitLocalModels(
 Result<std::vector<bool>> PipelineCache::AssessAll(
     const scoping::SignatureSet& signatures,
     const std::vector<scoping::LocalModel>& models) {
-  const size_t num_schemas = serialized_.size();
   const uint64_t models_fp = ModelSetFingerprint(models);
-  std::vector<bool> keep(signatures.size(), false);
+  return scoping::MergeConsumerVerdicts(
+      signatures, serialized_.size(),
+      [&](int schema) -> Result<std::vector<bool>> {
+        const size_t s = static_cast<size_t>(schema);
+        const CacheKey key = KeepKey(s, models_fp);
+        Result<std::string> payload = cache_->Get(key);
+        if (payload.status().interrupted()) return payload.status();
+        if (payload.ok()) {
+          Result<std::vector<bool>> slice =
+              scoping::DeserializeKeepMask(*payload);
+          if (slice.ok() && slice->size() == serialized_[s].size()) {
+            return slice;
+          }
+          COLSCOPE_LOG(Warn) << "unparseable cached keep slice for source "
+                             << s << "; reassessing";
+        }
 
-  for (size_t s = 0; s < num_schemas; ++s) {
-    const int schema = static_cast<int>(s);
-    const std::vector<size_t> rows = signatures.RowsOfSchema(schema);
-    const CacheKey key = KeepKey(s, models_fp);
-
-    Result<std::string> payload = cache_->Get(key);
-    if (payload.status().interrupted()) return payload.status();
-    if (payload.ok()) {
-      Result<std::vector<bool>> slice =
-          scoping::DeserializeKeepMask(*payload);
-      if (slice.ok() && slice->size() == rows.size()) {
-        for (size_t i = 0; i < rows.size(); ++i) keep[rows[i]] = (*slice)[i];
-        continue;
-      }
-      COLSCOPE_LOG(Warn) << "unparseable cached keep slice for source " << s
-                         << "; reassessing";
-    }
-
-    const std::vector<bool> linkable = scoping::AssessLinkability(
-        signatures.SchemaSignatures(schema), schema, models);
-    for (size_t i = 0; i < rows.size(); ++i) keep[rows[i]] = linkable[i];
-    const Status put = cache_->Put(key, scoping::SerializeKeepMask(linkable));
-    if (put.interrupted()) return put;
-    if (!put.ok()) {
-      COLSCOPE_LOG(Warn) << "cannot cache keep slice for source " << s
-                         << ": " << put.ToString();
-    }
-  }
-  return keep;
+        std::vector<bool> linkable = scoping::AssessLinkability(
+            signatures.SchemaSignatures(schema), schema, models);
+        const Status put =
+            cache_->Put(key, scoping::SerializeKeepMask(linkable));
+        if (put.interrupted()) return put;
+        if (!put.ok()) {
+          COLSCOPE_LOG(Warn) << "cannot cache keep slice for source " << s
+                             << ": " << put.ToString();
+        }
+        return linkable;
+      });
 }
 
 Result<std::set<matching::ElementPair>> PipelineCache::Match(

@@ -166,6 +166,57 @@ FetchOutcome FetchModelWithRetry(const ModelTransport& transport,
   return finish();
 }
 
+PeerFetch FetchPeerModel(const ModelTransport& transport, int publisher,
+                         int consumer, const RetryPolicy& policy,
+                         uint64_t backoff_seed, obs::MetricsRegistry* metrics,
+                         const CancellationToken* cancel,
+                         Deadline run_deadline, double& spent_ms) {
+  PeerFetch fetch;
+  PeerFetchRecord& record = fetch.record;
+  record.publisher = publisher;
+  record.consumer = consumer;
+
+  if (cancel != nullptr && cancel->cancelled()) {
+    fetch.aborted = "cancelled";
+    record.error =
+        Status::Cancelled("run cancelled before this fetch").ToString();
+  } else if (!run_deadline.infinite() &&
+             run_deadline.remaining_ms() - spent_ms <= 0.0) {
+    fetch.aborted = "run_deadline_exceeded";
+    record.error =
+        Status::DeadlineExceeded("run deadline exhausted before this fetch")
+            .ToString();
+  }
+  if (!fetch.aborted.empty()) {
+    record.skipped = true;
+    if (metrics != nullptr) {
+      metrics->GetCounter("exchange.fetches_skipped").Increment();
+    }
+    return fetch;
+  }
+
+  // Derive this fetch's deadline from whatever run budget is left.
+  RetryPolicy effective = policy;
+  if (!run_deadline.infinite()) {
+    effective.deadline_ms =
+        std::min(policy.deadline_ms, run_deadline.remaining_ms() - spent_ms);
+  }
+  FetchOutcome outcome =
+      FetchModelWithRetry(transport, publisher, consumer, effective,
+                          backoff_seed, metrics, cancel);
+  spent_ms += outcome.elapsed_ms;
+  record.attempts = outcome.attempts;
+  record.elapsed_ms = outcome.elapsed_ms;
+  record.ok = outcome.status.ok();
+  record.faults = std::move(outcome.faults);
+  if (record.ok) {
+    fetch.model = std::move(outcome.model);
+  } else {
+    record.error = outcome.status.ToString();
+  }
+  return fetch;
+}
+
 Result<ExchangeResult> ExchangeLocalModels(
     const std::vector<scoping::LocalModel>& models, ModelTransport& transport,
     const RetryPolicy& policy, uint64_t backoff_seed,
@@ -190,54 +241,17 @@ Result<ExchangeResult> ExchangeLocalModels(
   // does not see it advance on its own.
   double sim_elapsed_ms = 0.0;
   for (size_t c = 0; c < models.size(); ++c) {
-    const int consumer = models[c].schema_index();
     for (size_t p = 0; p < models.size(); ++p) {
       if (p == c) continue;
-      const int publisher = models[p].schema_index();
-      PeerFetchRecord record;
-      record.publisher = publisher;
-      record.consumer = consumer;
-
-      Status skip_reason;
-      if (cancel != nullptr && cancel->cancelled()) {
-        result.aborted = "cancelled";
-        skip_reason = Status::Cancelled("run cancelled before this fetch");
-      } else if (!run_deadline.infinite() &&
-                 run_deadline.remaining_ms() - sim_elapsed_ms <= 0.0) {
-        result.aborted = "run_deadline_exceeded";
-        skip_reason = Status::DeadlineExceeded(
-            "run deadline exhausted before this fetch");
+      PeerFetch fetch = FetchPeerModel(
+          transport, models[p].schema_index(), models[c].schema_index(),
+          policy, backoff_seed, metrics, cancel, run_deadline,
+          sim_elapsed_ms);
+      if (!fetch.aborted.empty()) result.aborted = std::move(fetch.aborted);
+      if (fetch.model.has_value()) {
+        result.arrived[c].push_back(std::move(*fetch.model));
       }
-      if (!skip_reason.ok()) {
-        record.skipped = true;
-        record.error = skip_reason.ToString();
-        if (metrics != nullptr) {
-          metrics->GetCounter("exchange.fetches_skipped").Increment();
-        }
-        result.fetches.push_back(std::move(record));
-        continue;
-      }
-
-      // Derive this fetch's deadline from whatever run budget is left.
-      RetryPolicy effective = policy;
-      if (!run_deadline.infinite()) {
-        effective.deadline_ms = std::min(
-            policy.deadline_ms, run_deadline.remaining_ms() - sim_elapsed_ms);
-      }
-      FetchOutcome outcome =
-          FetchModelWithRetry(transport, publisher, consumer, effective,
-                              backoff_seed, metrics, cancel);
-      sim_elapsed_ms += outcome.elapsed_ms;
-      record.attempts = outcome.attempts;
-      record.elapsed_ms = outcome.elapsed_ms;
-      record.ok = outcome.status.ok();
-      record.faults = std::move(outcome.faults);
-      if (record.ok) {
-        result.arrived[c].push_back(std::move(*outcome.model));
-      } else {
-        record.error = outcome.status.ToString();
-      }
-      result.fetches.push_back(std::move(record));
+      result.fetches.push_back(std::move(fetch.record));
     }
   }
   return result;

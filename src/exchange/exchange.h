@@ -80,6 +80,25 @@ struct PeerFetchRecord {
   std::vector<FaultKind> faults;
 };
 
+/// One recorded fetch; `aborted` names why it was skipped ("cancelled",
+/// "run_deadline_exceeded") and is empty when it was issued.
+struct PeerFetch {
+  PeerFetchRecord record;
+  std::optional<scoping::LocalModel> model;
+  std::string aborted;
+};
+
+/// The (consumer <- publisher) step of every exchange, in memory or over
+/// TCP: skipped when `cancel` tripped or `run_deadline`, less the
+/// `spent_ms` of simulated time already charged to it, is exhausted;
+/// otherwise FetchModelWithRetry within that budget, adding its simulated
+/// time to `spent_ms`.
+PeerFetch FetchPeerModel(const ModelTransport& transport, int publisher,
+                         int consumer, const RetryPolicy& policy,
+                         uint64_t backoff_seed, obs::MetricsRegistry* metrics,
+                         const CancellationToken* cancel,
+                         Deadline run_deadline, double& spent_ms);
+
 /// Result of a full all-pairs model exchange. `arrived[k]` holds the
 /// foreign models consumer schema k managed to obtain — possibly fewer
 /// than num_schemas - 1 under faults; degraded-mode scoping

@@ -9,7 +9,6 @@
 #include "net/tcp_transport.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace colscope::net {
@@ -33,8 +32,9 @@ void RecordRpcFlight(const char* what, size_t worker,
 
 Result<DistributedScopeResult> DistributedScope(
     const scoping::SignatureSet& signatures, size_t num_schemas,
-    const CoordinatorOptions& options, obs::MetricsRegistry* metrics) {
-  if (options.workers.empty()) {
+    const std::vector<Endpoint>& workers, AssignConfig run,
+    const NetOptions& net) {
+  if (workers.empty()) {
     return Status::InvalidArgument("distributed run needs >= 1 worker");
   }
   if (num_schemas < 2) {
@@ -42,27 +42,19 @@ Result<DistributedScopeResult> DistributedScope(
         "collaborative scoping needs >= 2 schemas");
   }
 
-  const size_t num_workers = options.workers.size();
-  AssignConfig base;
-  base.num_schemas = num_schemas;
-  base.v = options.v;
-  base.degraded = options.degraded;
-  base.retry = options.retry;
-  base.faults = options.faults;
+  const size_t num_workers = workers.size();
+  run.num_schemas = num_schemas;
+  run.owners.clear();
   std::vector<std::vector<int>> shards(num_workers);
   for (size_t schema = 0; schema < num_schemas; ++schema) {
-    base.owners[static_cast<int>(schema)] =
-        options.workers[schema % num_workers];
+    run.owners[static_cast<int>(schema)] = workers[schema % num_workers];
     shards[schema % num_workers].push_back(static_cast<int>(schema));
   }
 
   DistributedScopeResult result;
-  result.assign = base;
-  for (size_t schema = 0; schema < num_schemas; ++schema) {
-    result.assign.shard.push_back(static_cast<int>(schema));
-  }
+  result.owners = run.owners;
 
-  obs::Tracer* tracer = options.net.tracer;
+  obs::Tracer* tracer = net.tracer;
   const uint64_t trace_id = tracer != nullptr ? tracer->trace_id() : 0;
 
   // Round 1: ship every worker its assignment; it fits and publishes its
@@ -73,7 +65,7 @@ Result<DistributedScopeResult> DistributedScope(
   std::vector<bool> lost(num_workers, false);
   for (size_t w = 0; w < num_workers; ++w) {
     if (shards[w].empty()) continue;
-    AssignConfig config = base;
+    AssignConfig config = run;
     config.shard = shards[w];
     Result<Frame> ack = Status::Internal("rpc not attempted");
     {
@@ -81,14 +73,13 @@ Result<DistributedScopeResult> DistributedScope(
       span.AddArg("worker", static_cast<long long>(w));
       config.trace.trace_id = trace_id;
       config.trace.parent_span = span.id();
-      ack = Call(options.workers[w], FrameType::kAssign,
-                 EncodeAssign(config), options.net);
+      ack = Call(workers[w], FrameType::kAssign, EncodeAssign(config), net);
     }
     RecordRpcFlight("assign", w, RpcOutcome(ack, FrameType::kAssignAck));
     if (!ack.ok() || ack->type != FrameType::kAssignAck) {
       lost[w] = true;
       COLSCOPE_LOG(Warn) << "coordinator: worker " << w << " ("
-                         << options.workers[w].ToString()
+                         << workers[w].ToString()
                          << ") lost at assignment: "
                          << (ack.ok() ? "unexpected reply frame"
                                       : ack.status().ToString());
@@ -110,14 +101,14 @@ Result<DistributedScopeResult> DistributedScope(
       AssessRequest request;
       request.trace.trace_id = trace_id;
       request.trace.parent_span = span.id();
-      reply = Call(options.workers[w], FrameType::kAssess,
-                   EncodeAssess(request), options.net);
+      reply = Call(workers[w], FrameType::kAssess, EncodeAssess(request),
+                   net);
     }
     RecordRpcFlight("assess", w, RpcOutcome(reply, FrameType::kPartial));
     if (!reply.ok() || reply->type != FrameType::kPartial) {
       lost[w] = true;
       COLSCOPE_LOG(Warn) << "coordinator: worker " << w << " ("
-                         << options.workers[w].ToString()
+                         << workers[w].ToString()
                          << ") lost mid-exchange: "
                          << (reply.ok() ? "unexpected reply frame"
                                         : reply.status().ToString());
@@ -153,23 +144,20 @@ Result<DistributedScopeResult> DistributedScope(
   std::vector<int> lost_schemas;
   for (size_t w = 0; w < num_workers; ++w) {
     if (!lost[w]) continue;
-    result.lost_workers.push_back(w);
+    result.workers.lost_workers.push_back(w);
     lost_schemas.insert(lost_schemas.end(), shards[w].begin(),
                         shards[w].end());
   }
   std::sort(lost_schemas.begin(), lost_schemas.end());
   if (!lost_schemas.empty()) {
-    TcpTransport transport(base.owners, FaultInjector{options.faults},
-                           options.net);
+    TcpTransport transport(run.owners, FaultInjector{run.faults}, net);
     for (int consumer : lost_schemas) {
       obs::FlightRecorder::Global().Record(
           "reexec", StrFormat("consumer=%d", consumer));
       obs::ScopedSpan span(tracer, "coordinator.reexec");
       span.AddArg("consumer", consumer);
       partials[static_cast<size_t>(consumer)] = AssessConsumerOverTransport(
-          signatures, consumer, num_schemas, transport, options.retry,
-          options.faults.seed, options.degraded, records, metrics,
-          options.net.cancel);
+          signatures, consumer, run, transport, records, net);
     }
   }
 
@@ -177,7 +165,7 @@ Result<DistributedScopeResult> DistributedScope(
   // snapshot + trace buffer before any shutdown. Losing a worker's
   // telemetry (dead, unresponsive, or malformed reply) leaves a hole,
   // never an error — the run already survived worse.
-  result.telemetry.assign(num_workers, std::nullopt);
+  result.workers.telemetry.assign(num_workers, std::nullopt);
   for (size_t w = 0; w < num_workers; ++w) {
     if (lost[w]) {
       RecordRpcFlight("stats", w, "hole");
@@ -187,8 +175,7 @@ Result<DistributedScopeResult> DistributedScope(
     {
       obs::ScopedSpan span(tracer, "rpc.stats");
       span.AddArg("worker", static_cast<long long>(w));
-      reply = Call(options.workers[w], FrameType::kStatsRequest, "",
-                   options.net);
+      reply = Call(workers[w], FrameType::kStatsRequest, "", net);
     }
     if (!reply.ok() || reply->type != FrameType::kStats) {
       RecordRpcFlight("stats", w, RpcOutcome(reply, FrameType::kStats));
@@ -203,44 +190,28 @@ Result<DistributedScopeResult> DistributedScope(
       continue;
     }
     RecordRpcFlight("stats", w, "ok");
-    result.telemetry[static_cast<size_t>(w)] = std::move(telemetry).value();
+    result.workers.telemetry[w] = std::move(telemetry).value();
   }
 
-  // Merge, schema-ascending like AssessAllSparse: the first consumer the
-  // degradation policy refused fails the whole run with its error.
-  result.keep.assign(signatures.size(), false);
-  std::vector<size_t> arrived_per_schema(num_schemas, 0);
-  for (size_t s = 0; s < num_schemas; ++s) {
-    if (!partials[s].has_value()) {
-      return Status::Internal(
-          StrFormat("no partial result for schema %zu", s));
-    }
-    const ConsumerPartial& partial = *partials[s];
-    if (!partial.ok) {
-      return Status::Unavailable(partial.error);
-    }
-    arrived_per_schema[s] = partial.arrived;
-    const std::vector<size_t> rows =
-        signatures.RowsOfSchema(static_cast<int>(s));
-    if (partial.bits.size() != rows.size()) {
-      return Status::Internal(StrFormat(
-          "schema %zu partial has %zu bits for %zu rows", s,
-          partial.bits.size(), rows.size()));
-    }
-    for (size_t i = 0; i < rows.size(); ++i) {
-      result.keep[rows[i]] = partial.bits[i];
-    }
-  }
-  if (metrics != nullptr) {
-    const char* policy = scoping::DegradedPolicyToString(
-        options.degraded.policy);
-    size_t kept = 0;
-    for (bool keep : result.keep) kept += keep;
-    metrics->GetCounter(StrFormat("scoping.kept.%s", policy))
-        .Increment(kept);
-    metrics->GetCounter(StrFormat("scoping.pruned.%s", policy))
-        .Increment(result.keep.size() - kept);
-  }
+  // The shared phase-III merge: the first consumer the degradation
+  // policy refused fails the whole run with its error.
+  std::vector<size_t> arrived_per_schema(num_schemas);
+  Result<std::vector<bool>> keep = scoping::MergeConsumerVerdicts(
+      signatures, num_schemas,
+      [&](int schema) -> Result<std::vector<bool>> {
+        const std::optional<ConsumerPartial>& partial =
+            partials[static_cast<size_t>(schema)];
+        if (!partial.has_value()) {
+          return Status::Internal(
+              StrFormat("no partial result for schema %d", schema));
+        }
+        if (!partial->ok) return Status::Unavailable(partial->error);
+        arrived_per_schema[static_cast<size_t>(schema)] = partial->arrived;
+        return partial->bits;
+      },
+      &run.degraded, net.metrics);
+  if (!keep.ok()) return keep.status();
+  result.keep = std::move(keep).value();
 
   // Deterministic record order regardless of which worker answered
   // first: the consumer-major order ExchangeLocalModels produces.
@@ -254,7 +225,7 @@ Result<DistributedScopeResult> DistributedScope(
                    });
   result.degradation = exchange::BuildDegradationReport(
       records, arrived_per_schema,
-      scoping::DegradedPolicyToString(options.degraded.policy), num_schemas);
+      scoping::DegradedPolicyToString(run.degraded.policy), num_schemas);
   return result;
 }
 

@@ -1,11 +1,10 @@
 #ifndef COLSCOPE_NET_COORDINATOR_H_
 #define COLSCOPE_NET_COORDINATOR_H_
 
+#include <map>
 #include <optional>
 #include <vector>
 
-#include "common/cancellation.h"
-#include "common/fault_injector.h"
 #include "common/status.h"
 #include "exchange/exchange.h"
 #include "net/protocol.h"
@@ -16,18 +15,18 @@
 
 namespace colscope::net {
 
-struct CoordinatorOptions {
-  /// One endpoint per live-launched worker process. Schemas are sharded
-  /// round-robin: schema i belongs to workers[i % workers.size()].
-  std::vector<Endpoint> workers;
-  /// Explained-variance target v of Algorithm 1.
-  double v = 0.8;
-  scoping::DegradedOptions degraded;
-  exchange::RetryPolicy retry;
-  /// Socket-level fault injection applied by serving workers; the seed
-  /// also drives the deterministic retry backoff.
-  FaultProfile faults;
-  NetOptions net;
+/// What a distributed run learned about its workers, beyond the keep
+/// mask and the degradation report.
+struct WorkerReport {
+  /// Worker list indices that failed assignment or died before
+  /// delivering their partial result.
+  std::vector<size_t> lost_workers;
+  /// Telemetry harvested (kStatsRequest -> kStats) from each worker
+  /// after assessment, indexed like the worker list. A dead or
+  /// unresponsive worker is a hole (nullopt), never an error: losing a
+  /// worker's telemetry must not fail a run that already survived
+  /// losing the worker itself.
+  std::vector<std::optional<WorkerTelemetry>> telemetry;
 };
 
 /// Outcome of one distributed scoping run.
@@ -36,26 +35,19 @@ struct DistributedScopeResult {
   /// reductions (and local re-executions of lost shards).
   std::vector<bool> keep;
   exchange::DegradationReport degradation;
-  /// Worker list indices that failed assignment or died before
-  /// delivering their partial result.
-  std::vector<size_t> lost_workers;
-  /// The effective assignment every worker received (shard map, owners,
-  /// retry/fault/degradation config) — echoed into the JSON report so a
-  /// degraded run is reproducible from the report alone.
-  AssignConfig assign;
-  /// Telemetry harvested (kStatsRequest -> kStats) from each worker
-  /// after assessment, indexed like `options.workers`. A dead or
-  /// unresponsive worker is a hole (nullopt), never an error: losing a
-  /// worker's telemetry must not fail a run that already survived
-  /// losing the worker itself.
-  std::vector<std::optional<WorkerTelemetry>> telemetry;
+  /// Schema index -> owning worker, echoed into the JSON report.
+  std::map<int, Endpoint> owners;
+  WorkerReport workers;
 };
 
 /// Phase II + III across worker processes: shards the schemas
-/// round-robin over `options.workers`, ships each worker its assignment
-/// (kAssign), then asks each for its combiner-style partial reduction
-/// (kAssess -> kPartial) — per-consumer keep bits instead of the
-/// |rows| x |models| verdict matrix.
+/// round-robin over `workers` (schema i belongs to workers[i %
+/// workers.size()]), ships each worker its assignment (kAssign), then
+/// asks each for its combiner-style partial reduction (kAssess ->
+/// kPartial) — per-consumer keep bits instead of the |rows| x |models|
+/// verdict matrix — and merges them with scoping::MergeConsumerVerdicts.
+/// `run` holds the settings every worker receives (v, degraded, retry,
+/// faults); its num_schemas, shard, owners and trace are filled in here.
 ///
 /// Workers that refuse assignment or die before answering are *lost*:
 /// their consumers' assessments are re-executed at the coordinator
@@ -67,7 +59,7 @@ struct DistributedScopeResult {
 /// Fails (like AssessAllSparse) when any consumer's degradation policy
 /// refuses its arrivals — quorum unmet surfaces as Unavailable.
 ///
-/// With a tracer in `options.net` every RPC round records an
+/// With a tracer in `net` every RPC round records an
 /// rpc.assign/rpc.assess/rpc.stats span whose id rides the request
 /// payload as the worker's parent span, client-side round trips feed
 /// the net.rpc_ms.<type> histograms, and each round leaves one
@@ -75,8 +67,8 @@ struct DistributedScopeResult {
 /// only — reproducible bytes).
 Result<DistributedScopeResult> DistributedScope(
     const scoping::SignatureSet& signatures, size_t num_schemas,
-    const CoordinatorOptions& options,
-    obs::MetricsRegistry* metrics = nullptr);
+    const std::vector<Endpoint>& workers, AssignConfig run,
+    const NetOptions& net);
 
 /// Best-effort kShutdown to every worker; errors are ignored (a dead
 /// worker cannot be shut down twice).

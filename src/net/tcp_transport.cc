@@ -161,40 +161,27 @@ FetchResponse TcpTransport::FetchRemote(const Endpoint& owner, int publisher,
 
 ConsumerPartial AssessConsumerOverTransport(
     const scoping::SignatureSet& signatures, int consumer,
-    size_t num_schemas, const exchange::ModelTransport& transport,
-    const exchange::RetryPolicy& retry, uint64_t backoff_seed,
-    const scoping::DegradedOptions& degraded,
-    std::vector<exchange::PeerFetchRecord>& fetches,
-    obs::MetricsRegistry* metrics, const CancellationToken* cancel) {
+    const AssignConfig& run, const exchange::ModelTransport& transport,
+    std::vector<exchange::PeerFetchRecord>& fetches, const NetOptions& net) {
   std::vector<scoping::LocalModel> arrived;
-  for (size_t p = 0; p < num_schemas; ++p) {
+  double spent_ms = 0.0;
+  for (size_t p = 0; p < run.num_schemas; ++p) {
     const int publisher = static_cast<int>(p);
     if (publisher == consumer) continue;
-    exchange::FetchOutcome outcome = exchange::FetchModelWithRetry(
-        transport, publisher, consumer, retry, backoff_seed, metrics,
-        cancel);
-    exchange::PeerFetchRecord record;
-    record.publisher = publisher;
-    record.consumer = consumer;
-    record.attempts = outcome.attempts;
-    record.elapsed_ms = outcome.elapsed_ms;
-    record.ok = outcome.status.ok();
-    record.faults = std::move(outcome.faults);
-    if (record.ok) {
-      arrived.push_back(std::move(*outcome.model));
-    } else {
-      record.error = outcome.status.ToString();
-    }
-    fetches.push_back(std::move(record));
+    exchange::PeerFetch fetch = exchange::FetchPeerModel(
+        transport, publisher, consumer, run.retry, run.faults.seed,
+        net.metrics, net.cancel, net.deadline, spent_ms);
+    if (fetch.model.has_value()) arrived.push_back(std::move(*fetch.model));
+    fetches.push_back(std::move(fetch.record));
   }
 
   ConsumerPartial reduced;
   reduced.consumer = consumer;
   reduced.arrived = arrived.size();
-  const size_t expected_peers = num_schemas > 0 ? num_schemas - 1 : 0;
+  const size_t expected_peers = run.num_schemas > 0 ? run.num_schemas - 1 : 0;
   Result<std::vector<bool>> bits = scoping::AssessLinkabilityDegraded(
       signatures.SchemaSignatures(consumer), consumer, arrived,
-      expected_peers, degraded);
+      expected_peers, run.degraded);
   if (bits.ok()) {
     reduced.ok = true;
     reduced.bits = std::move(bits).value();

@@ -69,21 +69,21 @@ class TcpTransport : public exchange::ModelTransport {
   NetOptions options_;
 };
 
-/// One consumer's side of the distributed exchange + assessment: fetches
-/// every foreign model (publishers ascending, own schema skipped) over
-/// `transport` with the run's retry discipline, appends one
-/// PeerFetchRecord per publisher to `fetches`, and reduces whatever
-/// arrived to keep bits under `degraded` — the combiner-style partial
-/// a worker ships in kPartial, and the exact loop the coordinator
-/// re-executes locally for a lost worker's consumers.
+/// One consumer's side of the distributed exchange + assessment under the
+/// run's assignment `run` (num_schemas, retry, fault seed as backoff
+/// seed, degradation policy): fetches every foreign model (publishers
+/// ascending, own schema skipped) over `transport` through
+/// exchange::FetchPeerModel, as the in-memory exchange does (skipped once
+/// `net`'s cancel token or deadline ends), appends one PeerFetchRecord
+/// per publisher to `fetches`, and reduces whatever arrived to keep bits
+/// — the combiner-style partial a worker ships in kPartial, and the
+/// exact loop the coordinator re-executes locally for a lost worker's
+/// consumers.
 ConsumerPartial AssessConsumerOverTransport(
     const scoping::SignatureSet& signatures, int consumer,
-    size_t num_schemas, const exchange::ModelTransport& transport,
-    const exchange::RetryPolicy& retry, uint64_t backoff_seed,
-    const scoping::DegradedOptions& degraded,
+    const AssignConfig& run, const exchange::ModelTransport& transport,
     std::vector<exchange::PeerFetchRecord>& fetches,
-    obs::MetricsRegistry* metrics = nullptr,
-    const CancellationToken* cancel = nullptr);
+    const NetOptions& net = {});
 
 }  // namespace colscope::net
 

@@ -269,10 +269,8 @@ void HandleAssess(State& state, Socket& socket, const Frame& frame) {
       obs::ScopedSpan consumer_span(tracer, "worker.assess.consumer");
       consumer_span.AddArg("consumer", consumer);
       partial.consumers.push_back(AssessConsumerOverTransport(
-          *state.signatures, consumer, config.num_schemas, transport,
-          config.retry, config.faults.seed, config.degraded,
-          partial.fetches, state.options.net.metrics,
-          state.options.net.cancel));
+          *state.signatures, consumer, config, transport, partial.fetches,
+          state.options.net));
     }
     obs::FlightRecorder::Global().Record(
         "serve",

@@ -102,6 +102,19 @@ std::string SemanticOptionsString(const PipelineOptions& options) {
   return opts;
 }
 
+/// The report echo of the run's exchange settings over `transport`.
+exchange::ExchangeConfigEcho EchoExchangeConfig(const PipelineOptions& options,
+                                                const char* transport) {
+  exchange::ExchangeConfigEcho echo;
+  echo.transport = transport;
+  echo.faults = options.exchange.faults;
+  echo.retry = options.exchange.retry;
+  echo.policy =
+      scoping::DegradedPolicyToString(options.exchange.degraded.policy);
+  echo.quorum = options.exchange.degraded.quorum;
+  return echo;
+}
+
 /// Phase III over the simulated faulty transport: publish every fitted
 /// model, fetch peers' models with retry under the run's deadline and
 /// cancellation token, then apply the degradation policy to whatever
@@ -128,18 +141,43 @@ Result<std::vector<bool>> ScopeViaExchange(
       *exchanged,
       scoping::DegradedPolicyToString(options.exchange.degraded.policy),
       num_schemas);
-  exchange::ExchangeConfigEcho echo;
-  echo.transport = "in_memory";
-  echo.faults = options.exchange.faults;
-  echo.retry = options.exchange.retry;
-  echo.policy =
-      scoping::DegradedPolicyToString(options.exchange.degraded.policy);
-  echo.quorum = options.exchange.degraded.quorum;
-  run.exchange_config = std::move(echo);
+  run.exchange_config = EchoExchangeConfig(options, "in_memory");
   obs::ScopedSpan span(options.tracer, "pipeline.assess");
   return scoping::AssessAllSparse(sigs, num_schemas, exchanged->arrived,
                                   options.exchange.degraded,
                                   options.metrics);
+}
+
+/// Phases II + III on the exchange workers over TCP, under the run's
+/// deadline, cancel token and telemetry hooks.
+Result<std::vector<bool>> ScopeViaWorkers(const scoping::SignatureSet& sigs,
+                                          size_t num_schemas,
+                                          const PipelineOptions& options,
+                                          Deadline run_deadline,
+                                          PipelineRun& run) {
+  net::AssignConfig settings;
+  settings.v = options.explained_variance;
+  settings.degraded = options.exchange.degraded;
+  settings.retry = options.exchange.retry;
+  settings.faults = options.exchange.faults;
+  net::NetOptions net;
+  net.deadline = run_deadline;
+  net.cancel = options.cancel;
+  net.metrics = options.metrics;
+  net.tracer = options.tracer;
+  if (options.tracer != nullptr) net.clock = &options.tracer->clock();
+  Result<net::DistributedScopeResult> scoped = net::DistributedScope(
+      sigs, num_schemas, options.exchange.workers, std::move(settings), net);
+  if (!scoped.ok()) return scoped.status();
+
+  run.degradation = std::move(scoped->degradation);
+  run.exchange_config = EchoExchangeConfig(options, "tcp");
+  for (const auto& [schema_index, endpoint] : scoped->owners) {
+    run.exchange_config->owners.emplace_back(schema_index,
+                                             endpoint.ToString());
+  }
+  run.workers = std::move(scoped->workers);
+  return std::move(scoped->keep);
 }
 
 }  // namespace
@@ -201,6 +239,11 @@ Result<PipelineRun> Pipeline::Run(const schema::SchemaSet& set,
       options_.scoper != ScoperKind::kCollaborativePca) {
     return Status::InvalidArgument(
         "model-exchange simulation requires the collaborative pca scoper");
+  }
+  const bool distributed = !options_.exchange.workers.empty();
+  if (distributed && !options_.exchange.enabled) {
+    return Status::InvalidArgument(
+        "exchange workers require the model exchange to be enabled");
   }
   if (options_.scoper == ScoperKind::kGlobalScoping) {
     if (options_.detector == nullptr) {
@@ -292,6 +335,10 @@ Result<PipelineRun> Pipeline::Run(const schema::SchemaSet& set,
       case ScoperKind::kNone:
         return std::vector<bool>(run.signatures.size(), true);
       case ScoperKind::kCollaborativePca: {
+        if (distributed) {
+          return ScopeViaWorkers(run.signatures, set.num_schemas(), options_,
+                                 deadline, run);
+        }
         if (options_.exchange.enabled) {
           // Exchange runs never cache the keep mask: phase III replays
           // over the faulty transport so the degradation report reflects
@@ -345,7 +392,8 @@ Result<PipelineRun> Pipeline::Run(const schema::SchemaSet& set,
                  }),
              run.signatures);
        }},
-      {"local_models", options_.scoper == ScoperKind::kCollaborativePca, true,
+      {"local_models",
+       options_.scoper == ScoperKind::kCollaborativePca && !distributed, true,
        [&] {
          obs::ScopedSpan span(options_.tracer, "pipeline.fit_local_models");
          span.AddArg("schemas", static_cast<long long>(set.num_schemas()));

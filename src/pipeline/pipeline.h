@@ -17,6 +17,7 @@
 #include "eval/matching_metrics.h"
 #include "exchange/exchange.h"
 #include "matching/matcher.h"
+#include "net/coordinator.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -33,8 +34,9 @@ class ArtifactCache;
 namespace colscope::pipeline {
 
 /// The phases of Pipeline::Run, in execution order. local_models runs
-/// only under kCollaborativePca and evaluate only with ground truth; each
-/// phase that runs records a "pipeline.<phase>_ms" latency histogram.
+/// only under kCollaborativePca without exchange workers, and evaluate
+/// only with ground truth; each phase that runs records a
+/// "pipeline.<phase>_ms" latency histogram.
 inline constexpr std::array<const char*, 6> kPipelinePhases = {
     "signatures", "local_models", "keep_mask",
     "streamline", "match",        "evaluate"};
@@ -69,15 +71,17 @@ struct SchemaSource {
 Result<schema::SchemaSet> BuildSchemaSet(
     const std::vector<SchemaSource>& sources);
 
-/// Simulated model-exchange settings for kCollaborativePca: when
-/// enabled, phase III runs over an in-memory transport with the given
-/// fault profile, retrying per `retry` and degrading per `degraded`
-/// instead of assuming every peer model arrives intact.
+/// Model-exchange settings for kCollaborativePca: when enabled, phase
+/// III runs over a transport with the given fault profile, retrying per
+/// `retry` and degrading per `degraded` instead of assuming every peer
+/// model arrives intact. The transport is in memory, or TCP to `workers`
+/// when non-empty: keep_mask then runs phases II + III on them.
 struct ExchangeSimOptions {
   bool enabled = false;
   FaultProfile faults;
   exchange::RetryPolicy retry;
   scoping::DegradedOptions degraded;
+  std::vector<net::Endpoint> workers;
 };
 
 /// End-to-end configuration: extract -> serialize -> encode -> scope ->
@@ -181,6 +185,8 @@ struct PipelineRun {
   /// retry, policy, worker ownership) of exchange runs, echoed into the
   /// JSON report so degraded runs reproduce from the report alone.
   std::optional<exchange::ExchangeConfigEcho> exchange_config;
+  /// Lost workers and harvested telemetry of a run on exchange workers.
+  std::optional<net::WorkerReport> workers;
   /// Snapshot of PipelineOptions::metrics taken at the end of Run(), so
   /// every report doubles as a profile. Absent for uninstrumented runs.
   std::optional<obs::MetricsSnapshot> metrics;

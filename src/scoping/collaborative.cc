@@ -51,21 +51,6 @@ bool LocalModel::Recognizes(const linalg::Vector& signature) const {
   return ReconstructionError(signature) <= linkability_range_;
 }
 
-std::vector<bool> AssessLinkability(const linalg::Matrix& local_signatures,
-                                    int own_schema_index,
-                                    const std::vector<LocalModel>& models) {
-  std::vector<bool> linkable(local_signatures.rows(), false);
-  for (const LocalModel& model : models) {
-    if (model.schema_index() == own_schema_index) continue;
-    const linalg::Vector errors =
-        model.ReconstructionErrors(local_signatures);
-    for (size_t i = 0; i < errors.size(); ++i) {
-      if (errors[i] <= model.linkability_range()) linkable[i] = true;
-    }
-  }
-  return linkable;
-}
-
 const char* DegradedPolicyToString(DegradedPolicy policy) {
   switch (policy) {
     case DegradedPolicy::kFailClosed:
@@ -205,19 +190,45 @@ Result<std::vector<LocalModel>> FitLocalModelsOnPool(
                           cancel);
 }
 
-std::vector<bool> AssessAll(const SignatureSet& signatures,
-                            size_t num_schemas,
-                            const std::vector<LocalModel>& models) {
+Result<std::vector<bool>> MergeConsumerVerdicts(
+    const SignatureSet& signatures, size_t num_schemas,
+    const ConsumerVerdict& verdict, const DegradedOptions* policy,
+    obs::MetricsRegistry* metrics) {
   std::vector<bool> keep(signatures.size(), false);
   for (size_t s = 0; s < num_schemas; ++s) {
     const int schema = static_cast<int>(s);
+    Result<std::vector<bool>> bits = verdict(schema);
+    if (!bits.ok()) return bits.status();
     const std::vector<size_t> rows = signatures.RowsOfSchema(schema);
-    const linalg::Matrix local = signatures.SchemaSignatures(schema);
-    const std::vector<bool> linkable =
-        AssessLinkability(local, schema, models);
-    for (size_t i = 0; i < rows.size(); ++i) keep[rows[i]] = linkable[i];
+    if (bits->size() != rows.size()) {
+      return Status::Internal(
+          StrFormat("schema %zu verdict has %zu bits for %zu rows", s,
+                    bits->size(), rows.size()));
+    }
+    for (size_t i = 0; i < rows.size(); ++i) keep[rows[i]] = (*bits)[i];
+  }
+  if (policy != nullptr && metrics != nullptr) {
+    const char* name = DegradedPolicyToString(policy->policy);
+    size_t kept = 0;
+    for (bool k : keep) kept += k;
+    metrics->GetCounter(StrFormat("scoping.kept.%s", name)).Increment(kept);
+    metrics->GetCounter(StrFormat("scoping.pruned.%s", name))
+        .Increment(keep.size() - kept);
   }
   return keep;
+}
+
+std::vector<bool> AssessAll(const SignatureSet& signatures,
+                            size_t num_schemas,
+                            const std::vector<LocalModel>& models) {
+  // Every verdict is a full-length mask, so the merge cannot fail.
+  return MergeConsumerVerdicts(
+             signatures, num_schemas,
+             [&](int schema) -> Result<std::vector<bool>> {
+               return AssessLinkability(signatures.SchemaSignatures(schema),
+                                        schema, models);
+             })
+      .value();
 }
 
 Result<std::vector<bool>> AssessAllSparse(
@@ -229,27 +240,16 @@ Result<std::vector<bool>> AssessAllSparse(
         StrFormat("expected %zu per-schema model sets, got %zu", num_schemas,
                   arrived_per_schema.size()));
   }
-  std::vector<bool> keep(signatures.size(), false);
   const size_t expected_peers = num_schemas > 0 ? num_schemas - 1 : 0;
-  for (size_t s = 0; s < num_schemas; ++s) {
-    const int schema = static_cast<int>(s);
-    const std::vector<size_t> rows = signatures.RowsOfSchema(schema);
-    const linalg::Matrix local = signatures.SchemaSignatures(schema);
-    Result<std::vector<bool>> linkable = AssessLinkabilityDegraded(
-        local, schema, arrived_per_schema[s], expected_peers, options);
-    if (!linkable.ok()) return linkable.status();
-    for (size_t i = 0; i < rows.size(); ++i) keep[rows[i]] = (*linkable)[i];
-  }
-  if (metrics != nullptr) {
-    const char* policy = DegradedPolicyToString(options.policy);
-    size_t kept = 0;
-    for (bool k : keep) kept += k;
-    metrics->GetCounter(StrFormat("scoping.kept.%s", policy))
-        .Increment(kept);
-    metrics->GetCounter(StrFormat("scoping.pruned.%s", policy))
-        .Increment(keep.size() - kept);
-  }
-  return keep;
+  return MergeConsumerVerdicts(
+      signatures, num_schemas,
+      [&](int schema) {
+        return AssessLinkabilityDegraded(
+            signatures.SchemaSignatures(schema), schema,
+            arrived_per_schema[static_cast<size_t>(schema)], expected_peers,
+            options);
+      },
+      &options, metrics);
 }
 
 Result<std::vector<bool>> CollaborativeScoping(const SignatureSet& signatures,

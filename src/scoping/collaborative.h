@@ -1,6 +1,7 @@
 #ifndef COLSCOPE_SCOPING_COLLABORATIVE_H_
 #define COLSCOPE_SCOPING_COLLABORATIVE_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -67,10 +68,23 @@ class LocalModel {
 /// Algorithm 2 for one schema: assesses every row of `local_signatures`
 /// against the models of the *other* schemas; a row is linkable if at
 /// least one foreign model reconstructs it within its linkability range.
-/// Models whose schema_index equals `own_schema_index` are skipped.
+/// Models whose schema_index equals `own_schema_index` are skipped. The
+/// one per-model loop of phase III, for LocalModel and NeuralLocalModel.
+template <typename Model>
 std::vector<bool> AssessLinkability(const linalg::Matrix& local_signatures,
                                     int own_schema_index,
-                                    const std::vector<LocalModel>& models);
+                                    const std::vector<Model>& models) {
+  std::vector<bool> linkable(local_signatures.rows(), false);
+  for (const Model& model : models) {
+    if (model.schema_index() == own_schema_index) continue;
+    const linalg::Vector errors =
+        model.ReconstructionErrors(local_signatures);
+    for (size_t i = 0; i < errors.size(); ++i) {
+      if (errors[i] <= model.linkability_range()) linkable[i] = true;
+    }
+  }
+  return linkable;
+}
 
 /// What collaborative scoping does when peer models are missing — e.g.
 /// lost on the exchange transport (see exchange/) or withheld by a
@@ -141,6 +155,19 @@ Result<std::vector<LocalModel>> FitLocalModels(const SignatureSet& signatures,
 Result<std::vector<LocalModel>> FitLocalModelsOnPool(
     const SignatureSet& signatures, size_t num_schemas, double v,
     ThreadPool& pool, const CancellationToken* cancel = nullptr);
+
+/// One consumer schema's keep bits (its own row order), or its error.
+using ConsumerVerdict = std::function<Result<std::vector<bool>>(int schema)>;
+
+/// The one schema-ordered merge of phase III: asks `verdict` for schemas
+/// 0..num_schemas-1 in order and writes the bits in signature row order.
+/// The first failed verdict fails the merge; a wrong-length one is
+/// Internal. With `policy` and `metrics` both set, emits the
+/// "scoping.kept.<policy>" / "scoping.pruned.<policy>" counters.
+Result<std::vector<bool>> MergeConsumerVerdicts(
+    const SignatureSet& signatures, size_t num_schemas,
+    const ConsumerVerdict& verdict, const DegradedOptions* policy = nullptr,
+    obs::MetricsRegistry* metrics = nullptr);
 
 /// Phase III given prefitted models.
 std::vector<bool> AssessAll(const SignatureSet& signatures,

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "linalg/stats.h"
+#include "scoping/collaborative.h"
 
 namespace colscope::scoping {
 
@@ -72,20 +73,11 @@ Result<std::vector<bool>> CollaborativeScopingNeural(
       FitNeuralLocalModels(signatures, num_schemas, options);
   if (!models.ok()) return models.status();
 
-  std::vector<bool> keep(signatures.size(), false);
-  for (size_t s = 0; s < num_schemas; ++s) {
-    const int schema = static_cast<int>(s);
-    const std::vector<size_t> rows = signatures.RowsOfSchema(schema);
-    const linalg::Matrix local = signatures.SchemaSignatures(schema);
-    for (const NeuralLocalModel& model : *models) {
-      if (model.schema_index() == schema) continue;
-      const linalg::Vector errors = model.ReconstructionErrors(local);
-      for (size_t i = 0; i < rows.size(); ++i) {
-        if (errors[i] <= model.linkability_range()) keep[rows[i]] = true;
-      }
-    }
-  }
-  return keep;
+  return MergeConsumerVerdicts(
+      signatures, num_schemas, [&](int schema) -> Result<std::vector<bool>> {
+        return AssessLinkability(signatures.SchemaSignatures(schema), schema,
+                                 *models);
+      });
 }
 
 }  // namespace colscope::scoping

@@ -29,7 +29,8 @@ struct NeuralLocalModelOptions {
 /// PCA of Algorithm 1; Definition 3 (linkability range = max training
 /// reconstruction MSE) and Definition 4 (a foreign element is linkable
 /// iff some foreign model reconstructs it within that range) carry over
-/// unchanged. Duck-type compatible with LocalModel for AssessLinkability.
+/// unchanged. Duck-type compatible with LocalModel for the AssessLinkability
+/// template, which is the one per-model loop both model kinds run.
 class NeuralLocalModel {
  public:
   /// Trains the autoencoder on one schema's signatures (Algorithm 1 with

@@ -2,12 +2,16 @@
 // live WorkerServer in this process — byte-identical model round trips,
 // the socket fault taxonomy (refused connect, mid-frame truncation,
 // corruption under an honest checksum, staleness), ephemeral-port
-// binding with the port file, and cancellation of blocked I/O.
+// binding with the port file, cancellation of blocked I/O, fetch records
+// identical to the in-memory exchange's, and Pipeline::Run with its
+// keep_mask phase on live workers.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <fstream>
+#include <list>
 #include <map>
 #include <string>
 #include <thread>
@@ -18,6 +22,7 @@
 #include "datasets/toy.h"
 #include "embed/hashed_encoder.h"
 #include "exchange/exchange.h"
+#include "matching/matcher.h"
 #include "net/coordinator.h"
 #include "net/protocol.h"
 #include "net/rpc.h"
@@ -28,6 +33,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "pipeline/pipeline.h"
 #include "scoping/model_io.h"
 #include "scoping/signatures.h"
 
@@ -119,7 +125,9 @@ class TcpTransportTest : public ::testing::Test {
   datasets::MatchingScenario scenario_;
   scoping::SignatureSet signatures_;
   size_t num_schemas_ = 0;
-  std::vector<LiveWorker> workers_;
+  // A list: serving threads hold references to their LiveWorker, which
+  // must stay put while later workers start.
+  std::list<LiveWorker> workers_;
 };
 
 TEST_F(TcpTransportTest, EphemeralPortAndPortFile) {
@@ -299,16 +307,15 @@ TEST_F(TcpTransportTest, AssessConsumerMatchesSingleProcessRun) {
             .ok());
   }
 
-  RetryPolicy retry;
-  scoping::DegradedOptions degraded;
-  degraded.policy = scoping::DegradedPolicy::kKeepAll;
+  AssignConfig run;
+  run.num_schemas = num_schemas_;
+  run.faults = faults;
+  run.degraded.policy = scoping::DegradedPolicy::kKeepAll;
   std::vector<exchange::PeerFetchRecord> tcp_fetches, memory_fetches;
   const ConsumerPartial over_tcp = AssessConsumerOverTransport(
-      signatures_, /*consumer=*/1, num_schemas_, tcp, retry, faults.seed,
-      degraded, tcp_fetches);
+      signatures_, /*consumer=*/1, run, tcp, tcp_fetches);
   const ConsumerPartial over_memory = AssessConsumerOverTransport(
-      signatures_, /*consumer=*/1, num_schemas_, memory, retry, faults.seed,
-      degraded, memory_fetches);
+      signatures_, /*consumer=*/1, run, memory, memory_fetches);
 
   EXPECT_EQ(over_tcp.ok, over_memory.ok);
   EXPECT_EQ(over_tcp.arrived, over_memory.arrived);
@@ -384,15 +391,14 @@ TEST_F(TcpTransportTest, QuorumSurvivesPartitionedPublisher) {
   net.io_timeout_ms = 250.0;
   TcpTransport transport = RemoteTransport(worker, FaultProfile{}, net);
 
-  RetryPolicy retry;
-  retry.max_attempts = 2;
-  scoping::DegradedOptions degraded;
-  degraded.policy = scoping::DegradedPolicy::kQuorum;
-  degraded.quorum = 1;
+  AssignConfig run;
+  run.num_schemas = num_schemas_;
+  run.retry.max_attempts = 2;
+  run.degraded.policy = scoping::DegradedPolicy::kQuorum;
+  run.degraded.quorum = 1;
   std::vector<exchange::PeerFetchRecord> fetches;
   const ConsumerPartial partial = AssessConsumerOverTransport(
-      signatures_, /*consumer=*/1, num_schemas_, transport, retry,
-      /*seed=*/0, degraded, fetches);
+      signatures_, /*consumer=*/1, run, transport, fetches);
 
   // Every publisher except the partitioned one arrived, so quorum:1 is
   // met and the consumer assesses against the models it did get.
@@ -414,7 +420,7 @@ TEST_F(TcpTransportTest, QuorumSurvivesPartitionedPublisher) {
     }
     saw_partitioned_fetch = true;
     EXPECT_FALSE(record.ok);
-    EXPECT_EQ(record.attempts, retry.max_attempts);
+    EXPECT_EQ(record.attempts, run.retry.max_attempts);
     ASSERT_FALSE(record.faults.empty());
     for (const FaultKind kind : record.faults) {
       EXPECT_EQ(kind, FaultKind::kPartition) << FaultKindToString(kind);
@@ -459,26 +465,26 @@ TEST_F(TcpTransportTest, TelemetryHarvestAndTracePropagation) {
   obs::SimulatedTraceClock coord_clock;
   obs::Tracer coord_tracer(&coord_clock);
   coord_tracer.set_trace_id(777);
-  CoordinatorOptions options;
-  options.workers = {worker.endpoint};
-  options.degraded.policy = scoping::DegradedPolicy::kKeepAll;
-  options.net.metrics = &coord_registry;
-  options.net.tracer = &coord_tracer;
-  options.net.clock = &coord_clock;
+  const std::vector<Endpoint> workers = {worker.endpoint};
+  AssignConfig run;
+  run.degraded.policy = scoping::DegradedPolicy::kKeepAll;
+  NetOptions net;
+  net.metrics = &coord_registry;
+  net.tracer = &coord_tracer;
+  net.clock = &coord_clock;
 
-  auto scoped = DistributedScope(signatures_, num_schemas_, options,
-                                 &coord_registry);
+  auto scoped = DistributedScope(signatures_, num_schemas_, workers, run, net);
   ASSERT_TRUE(scoped.ok()) << scoped.status().ToString();
-  ShutdownWorkers(options.workers, options.net);
+  ShutdownWorkers(workers, net);
   for (auto& live : workers_) {
     if (live.thread.joinable()) live.thread.join();
   }
 
   // The harvest delivered one telemetry blob, carrying the run trace id
   // the kAssign frame propagated.
-  ASSERT_EQ(scoped->telemetry.size(), 1u);
-  ASSERT_TRUE(scoped->telemetry[0].has_value());
-  const WorkerTelemetry& telemetry = *scoped->telemetry[0];
+  ASSERT_EQ(scoped->workers.telemetry.size(), 1u);
+  ASSERT_TRUE(scoped->workers.telemetry[0].has_value());
+  const WorkerTelemetry& telemetry = *scoped->workers.telemetry[0];
   EXPECT_EQ(telemetry.trace_id, 777u);
 
   // The worker's handler threads registered under their protocol names.
@@ -525,23 +531,25 @@ TEST_F(TcpTransportTest, TelemetryHarvestAndTracePropagation) {
 TEST_F(TcpTransportTest, DeadWorkerLeavesTelemetryHoleNotError) {
   obs::FlightRecorder::Global().Clear();
   LiveWorker& alive = StartWorker();
-  CoordinatorOptions options;
   // Worker 1 is an endpoint nobody listens on: lost at assignment.
-  options.workers = {alive.endpoint, Endpoint{"127.0.0.1", 1}};
-  options.degraded.policy = scoping::DegradedPolicy::kKeepAll;
-  options.net.connect_timeout_ms = 500.0;
+  const std::vector<Endpoint> workers = {alive.endpoint,
+                                         Endpoint{"127.0.0.1", 1}};
+  AssignConfig run;
+  run.degraded.policy = scoping::DegradedPolicy::kKeepAll;
+  NetOptions net;
+  net.connect_timeout_ms = 500.0;
 
-  auto scoped = DistributedScope(signatures_, num_schemas_, options);
+  auto scoped = DistributedScope(signatures_, num_schemas_, workers, run, net);
   ASSERT_TRUE(scoped.ok()) << scoped.status().ToString();
-  ShutdownWorkers(options.workers, options.net);
+  ShutdownWorkers(workers, net);
   for (auto& live : workers_) {
     if (live.thread.joinable()) live.thread.join();
   }
 
-  EXPECT_EQ(scoped->lost_workers, (std::vector<size_t>{1}));
-  ASSERT_EQ(scoped->telemetry.size(), 2u);
-  EXPECT_TRUE(scoped->telemetry[0].has_value());
-  EXPECT_FALSE(scoped->telemetry[1].has_value());
+  EXPECT_EQ(scoped->workers.lost_workers, (std::vector<size_t>{1}));
+  ASSERT_EQ(scoped->workers.telemetry.size(), 2u);
+  EXPECT_TRUE(scoped->workers.telemetry[0].has_value());
+  EXPECT_FALSE(scoped->workers.telemetry[1].has_value());
 
   // The flight recorder named the dead worker at every round it missed.
   bool saw_lost_assign = false, saw_stats_hole = false;
@@ -555,6 +563,172 @@ TEST_F(TcpTransportTest, DeadWorkerLeavesTelemetryHoleNotError) {
   }
   EXPECT_TRUE(saw_lost_assign);
   EXPECT_TRUE(saw_stats_hole);
+}
+
+// --- One fetch-and-record step ----------------------------------------------
+
+/// Consumer 1's fetch records over `tcp`, and over an in-memory exchange
+/// of the same models, under the same cancel token and run deadline —
+/// compared field for field.
+void ExpectRecordsMatchInMemory(
+    const scoping::SignatureSet& signatures, size_t num_schemas,
+    const TcpTransport& tcp, const CancellationToken* cancel,
+    Deadline run_deadline) {
+  AssignConfig run;
+  run.num_schemas = num_schemas;
+  run.degraded.policy = scoping::DegradedPolicy::kKeepAll;
+  NetOptions net;
+  net.cancel = cancel;
+  net.deadline = run_deadline;
+  std::vector<exchange::PeerFetchRecord> over_tcp;
+  (void)AssessConsumerOverTransport(signatures, /*consumer=*/1, run, tcp,
+                                    over_tcp, net);
+
+  auto models = scoping::FitLocalModels(signatures, num_schemas, 0.8);
+  ASSERT_TRUE(models.ok()) << models.status().ToString();
+  exchange::InMemoryTransport memory{FaultInjector(FaultProfile{})};
+  auto exchanged = exchange::ExchangeLocalModels(
+      *models, memory, run.retry, run.faults.seed, nullptr, cancel,
+      run_deadline);
+  ASSERT_TRUE(exchanged.ok()) << exchanged.status().ToString();
+  std::vector<exchange::PeerFetchRecord> in_memory;
+  for (const exchange::PeerFetchRecord& record : exchanged->fetches) {
+    if (record.consumer == 1) in_memory.push_back(record);
+  }
+
+  ASSERT_EQ(over_tcp.size(), num_schemas - 1);
+  ASSERT_EQ(over_tcp.size(), in_memory.size());
+  for (size_t i = 0; i < over_tcp.size(); ++i) {
+    const exchange::PeerFetchRecord& a = over_tcp[i];
+    const exchange::PeerFetchRecord& b = in_memory[i];
+    EXPECT_TRUE(a.skipped) << i;
+    EXPECT_EQ(a.publisher, b.publisher) << i;
+    EXPECT_EQ(a.consumer, b.consumer) << i;
+    EXPECT_EQ(a.attempts, b.attempts) << i;
+    EXPECT_EQ(a.elapsed_ms, b.elapsed_ms) << i;
+    EXPECT_EQ(a.ok, b.ok) << i;
+    EXPECT_EQ(a.skipped, b.skipped) << i;
+    EXPECT_EQ(a.error, b.error) << i;
+    EXPECT_EQ(a.faults, b.faults) << i;
+  }
+}
+
+TEST_F(TcpTransportTest, ExhaustedRunDeadlineSkipsFetchesLikeInMemory) {
+  LiveWorker& worker = StartWorker();
+  Assign(worker, FaultProfile{});
+  TcpTransport tcp = RemoteTransport(worker);
+  SimulatedRunClock clock;
+  ExpectRecordsMatchInMemory(signatures_, num_schemas_, tcp, nullptr,
+                             Deadline::After(&clock, 0.0));
+}
+
+TEST_F(TcpTransportTest, TrippedTokenSkipsFetchesLikeInMemory) {
+  LiveWorker& worker = StartWorker();
+  Assign(worker, FaultProfile{});
+  TcpTransport tcp = RemoteTransport(worker);
+  CancellationToken cancel;
+  cancel.Cancel();
+  ExpectRecordsMatchInMemory(signatures_, num_schemas_, tcp, &cancel,
+                             Deadline());
+}
+
+// --- Pipeline::Run over real workers -----------------------------------------
+
+/// Exchange settings shared by the in-memory and the distributed runs.
+pipeline::PipelineOptions FaultyExchangeOptions() {
+  pipeline::PipelineOptions options;
+  options.explained_variance = 0.8;
+  options.exchange.enabled = true;
+  options.exchange.faults.drop_probability = 0.3;
+  options.exchange.faults.seed = 42;
+  options.exchange.degraded.policy = scoping::DegradedPolicy::kKeepAll;
+  return options;
+}
+
+TEST_F(TcpTransportTest, PipelineRunOverWorkersMatchesInMemoryExchange) {
+  const auto matcher = matching::MakeMatcher(matching::MatcherSpec{}, nullptr);
+  ASSERT_NE(matcher, nullptr);
+  pipeline::PipelineOptions options = FaultyExchangeOptions();
+  auto in_memory =
+      pipeline::Pipeline(&encoder_, options).Run(scenario_.set, *matcher);
+  ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+
+  obs::MetricsRegistry registry;
+  options.metrics = &registry;
+  options.exchange.workers = {StartWorker().endpoint, StartWorker().endpoint};
+  auto distributed =
+      pipeline::Pipeline(&encoder_, options).Run(scenario_.set, *matcher);
+  ASSERT_TRUE(distributed.ok()) << distributed.status().ToString();
+  EXPECT_TRUE(distributed->status.ok()) << distributed->status.ToString();
+
+  // Phase III over TCP agrees with the in-memory exchange.
+  EXPECT_EQ(distributed->keep, in_memory->keep);
+  EXPECT_EQ(distributed->linkages, in_memory->linkages);
+  ASSERT_TRUE(distributed->degradation.has_value());
+  ASSERT_TRUE(in_memory->degradation.has_value());
+  EXPECT_EQ(distributed->degradation->peers_lost,
+            in_memory->degradation->peers_lost);
+  EXPECT_EQ(distributed->degradation->arrived_per_schema,
+            in_memory->degradation->arrived_per_schema);
+  EXPECT_EQ(distributed->degradation->failed_fetches,
+            in_memory->degradation->failed_fetches);
+  ASSERT_TRUE(distributed->exchange_config.has_value());
+  EXPECT_EQ(distributed->exchange_config->transport, "tcp");
+  ASSERT_TRUE(distributed->workers.has_value());
+  EXPECT_TRUE(distributed->workers->lost_workers.empty());
+  EXPECT_FALSE(in_memory->workers.has_value());
+
+  // The phase table ran it: the models stayed on the workers, so
+  // local_models is not a phase here, and every phase that ran is timed.
+  EXPECT_TRUE(distributed->local_models.empty());
+  EXPECT_EQ(distributed->phases_completed,
+            (std::vector<std::string>{"signatures", "keep_mask", "streamline",
+                                      "match"}));
+  const obs::MetricsSnapshot snapshot = registry.Snapshot();
+  for (const std::string& phase : distributed->phases_completed) {
+    EXPECT_TRUE(HasHistogram(snapshot, "pipeline." + phase + "_ms"))
+        << phase;
+  }
+}
+
+TEST_F(TcpTransportTest, PipelineRunOverWorkersHonorsCrashAfterPhase) {
+  const auto matcher = matching::MakeMatcher(matching::MatcherSpec{}, nullptr);
+  ASSERT_NE(matcher, nullptr);
+  const std::string cache_dir =
+      ::testing::TempDir() + "/tcp_transport_test_cache";
+  std::filesystem::remove_all(cache_dir);
+  pipeline::PipelineOptions options = FaultyExchangeOptions();
+  options.exchange.workers = {StartWorker().endpoint};
+  options.crash_after_phase = "keep_mask";
+  options.cache_dir = cache_dir;
+  auto run =
+      pipeline::Pipeline(&encoder_, options).Run(scenario_.set, *matcher);
+  EXPECT_EQ(run.status().code(), StatusCode::kInternal)
+      << run.status().ToString();
+  // Phase I's signatures reached the cache before the crash.
+  EXPECT_TRUE(std::filesystem::exists(cache_dir));
+  EXPECT_FALSE(std::filesystem::is_empty(cache_dir));
+  std::filesystem::remove_all(cache_dir);
+}
+
+TEST_F(TcpTransportTest, PipelineRunRejectsWorkersOutsideTheExchange) {
+  const auto matcher = matching::MakeMatcher(matching::MatcherSpec{}, nullptr);
+  ASSERT_NE(matcher, nullptr);
+  pipeline::PipelineOptions no_exchange;
+  no_exchange.exchange.workers = {Endpoint{"127.0.0.1", 1}};
+  EXPECT_EQ(pipeline::Pipeline(&encoder_, no_exchange)
+                .Run(scenario_.set, *matcher)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  pipeline::PipelineOptions neural = FaultyExchangeOptions();
+  neural.scoper = pipeline::ScoperKind::kCollaborativeNeural;
+  neural.exchange.workers = {Endpoint{"127.0.0.1", 1}};
+  EXPECT_EQ(
+      pipeline::Pipeline(&encoder_, neural).Run(scenario_.set, *matcher)
+          .status()
+          .code(),
+      StatusCode::kInvalidArgument);
 }
 
 TEST_F(TcpTransportTest, ShutdownStopsServeLoop) {

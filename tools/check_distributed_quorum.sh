@@ -33,6 +33,9 @@
 #      connect and byte tallies. Attempt/retry/fault TOTALS must still
 #      agree: the race moves failures between kinds, never creates or
 #      loses one.
+#   8. under --deadline-ms 1 --run-clock sim with two healthy workers,
+#      exit 0 with a partial deadline_exceeded report that completed
+#      only phase I, and leave no worker running.
 set -eu
 
 cli=$1
@@ -295,6 +298,62 @@ for metrics in (metrics1, metrics2):
 assert metrics1["fault_totals"] == metrics2["fault_totals"], (
     metrics1["fault_totals"], metrics2["fault_totals"])
 EOF
+
+# Deadline: two healthy workers and a 1 ms budget on the simulated run
+# clock, which runs out after phase I. The coordinator stops at the phase
+# table's boundary exactly like the in-memory run — exit 0 with a
+# partial deadline_exceeded report — and its shutdown round, which
+# carries no run deadline, still stops both workers.
+dir="$scratch/deadline"
+mkdir -p "$dir"
+w2_pid=""
+# shellcheck disable=SC2086
+"$cli" match --role worker $ddls --listen 127.0.0.1:0 \
+  --port-file "$dir/w0.port" --log-level error 2> /dev/null &
+w0_pid=$!
+# shellcheck disable=SC2086
+"$cli" match --role worker $ddls --listen 127.0.0.1:0 \
+  --port-file "$dir/w1.port" --log-level error 2> /dev/null &
+w1_pid=$!
+for f in w0.port w1.port; do
+  tries=0
+  while [ ! -s "$dir/$f" ]; do
+    tries=$((tries + 1))
+    if [ "$tries" -gt 100 ]; then
+      echo "FAIL: worker never wrote $f (deadline run)" >&2
+      exit 1
+    fi
+    sleep 0.1
+  done
+done
+# shellcheck disable=SC2086
+"$cli" match --role coordinator $ddls \
+  --workers "127.0.0.1:$(cat "$dir/w0.port")" \
+  --workers "127.0.0.1:$(cat "$dir/w1.port")" \
+  --deadline-ms 1 --run-clock sim --log-level error --json \
+  > "$dir/dist.json" || {
+  echo "FAIL: coordinator out of deadline exited non-zero" >&2
+  exit 1
+}
+python3 - "$dir/dist.json" << 'EOF'
+import json
+import sys
+
+report = json.load(open(sys.argv[1]))
+assert report["status"] == "deadline_exceeded", report["status"]
+assert report["phases_completed"] == ["signatures"], report["phases_completed"]
+EOF
+for pid in "$w0_pid" "$w1_pid"; do
+  tries=0
+  while kill -0 "$pid" 2> /dev/null; do
+    tries=$((tries + 1))
+    if [ "$tries" -gt 50 ]; then
+      echo "FAIL: worker $pid still alive 5 s after a deadline run" >&2
+      exit 1
+    fi
+    sleep 0.1
+  done
+done
 
 rm -rf "$scratch"
 echo "distributed quorum degradation + telemetry OK"

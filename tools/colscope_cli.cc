@@ -64,7 +64,6 @@
 #include "schema/ddl_writer.h"
 #include "scoping/explain.h"
 #include "scoping/model_io.h"
-#include "scoping/streamline.h"
 
 namespace {
 
@@ -173,7 +172,7 @@ int Usage() {
                "distributed mode (docs/DISTRIBUTED.md):\n"
                "  colscope scope --role worker --ddl ... [--listen H:P]\n"
                "      [--port-file FILE] [--crash-after-assign]\n"
-               "  colscope scope|match --role coordinator --ddl ...\n"
+               "  colscope scope|match|export --role coordinator --ddl ...\n"
                "      --workers H:P [--workers H:P ...] [--v 0.8]\n"
                "      [--faults SPEC] [--exchange-policy POLICY] "
                "[--deadline-ms MS]\n");
@@ -521,6 +520,42 @@ std::optional<net::Endpoint> EndpointFlag(const char* flag,
   return *endpoint;
 }
 
+/// The clock --trace-clock real|sim names, or null after printing why
+/// the value is bad — a usage error, exit 2.
+obs::TraceClock* TraceClockFlag(const CliArgs& args,
+                                obs::SystemTraceClock& real,
+                                obs::SimulatedTraceClock& sim) {
+  if (args.trace_clock == "real") return &real;
+  if (args.trace_clock == "sim") return &sim;
+  std::fprintf(stderr, "unknown trace clock (want real|sim): %s\n",
+               args.trace_clock.c_str());
+  return nullptr;
+}
+
+/// A coordinator's observability artifacts: its own metrics and spans
+/// plus everything harvested from the surviving workers, as
+/// "worker.<i>." metrics and trace pids 1..n. Dead workers are holes, so
+/// the merge never blocks on a corpse.
+obs::MetricsSnapshot MergeWorkerTelemetry(
+    const obs::MetricsRegistry& registry, obs::Tracer& tracer,
+    const std::optional<net::WorkerReport>& workers,
+    std::vector<obs::ProcessTrace>& processes) {
+  obs::MetricsSnapshot merged = registry.Snapshot();
+  processes.push_back({0, "coordinator", tracer.trace_id(),
+                       tracer.ThreadNames(), tracer.Events()});
+  if (!workers.has_value()) return merged;
+  for (size_t w = 0; w < workers->telemetry.size(); ++w) {
+    if (!workers->telemetry[w].has_value()) continue;
+    const net::WorkerTelemetry& telemetry = *workers->telemetry[w];
+    obs::MergePrefixed(merged, StrFormat("worker.%zu.", w),
+                       telemetry.metrics);
+    processes.push_back({static_cast<int>(w) + 1, StrFormat("worker.%zu", w),
+                         telemetry.trace_id, telemetry.thread_names,
+                         telemetry.events});
+  }
+  return merged;
+}
+
 /// The tail of a serving role (worker, colscoped) once Serve() returned:
 /// writes --metrics-out (and --trace-out when `tracer` is set) even after
 /// a failed serve loop — that is exactly when they are most interesting —
@@ -695,19 +730,13 @@ int RunWorker(const CliArgs& args) {
   const std::optional<net::Endpoint> listen =
       EndpointFlag("--listen", args.listen);
   if (!listen.has_value()) return 2;
-  if (args.trace_clock != "real" && args.trace_clock != "sim") {
-    std::fprintf(stderr, "unknown trace clock (want real|sim): %s\n",
-                 args.trace_clock.c_str());
-    return 2;
-  }
-  obs::MetricsRegistry registry;
   obs::SystemTraceClock real_clock;
   obs::SimulatedTraceClock sim_clock;
-  obs::TraceClock* clock = args.trace_clock == "sim"
-                               ? static_cast<obs::TraceClock*>(&sim_clock)
-                               : &real_clock;
+  obs::TraceClock* clock = TraceClockFlag(args, real_clock, sim_clock);
+  if (clock == nullptr) return 2;
   obs::Tracer tracer(clock);
   tracer.set_process_name("worker");
+  obs::MetricsRegistry registry;
 
   net::WorkerOptions options;
   options.listen = *listen;
@@ -725,205 +754,6 @@ int RunWorker(const CliArgs& args) {
   std::fprintf(stderr, "# worker listening on %s:%u\n",
                listen->host.c_str(), server->port());
   return FinishServing(args, server->Serve(), registry, &tracer) ? 0 : 1;
-}
-
-/// `--role coordinator`: shards the schemas over worker processes, runs
-/// the distributed scope (phase II + III), then finishes streamline +
-/// match locally and emits the same report shape as the in-memory
-/// pipeline — a quorum-degraded distributed run and the equivalent
-/// in-memory `--faults drop-from=K` run print byte-identical
-/// elements/linkages blocks.
-int RunCoordinator(const CliArgs& args) {
-  if (args.workers.empty()) {
-    std::fprintf(stderr, "coordinator requires at least one --workers\n");
-    return 2;
-  }
-  Result<schema::SchemaSet> set = LoadSchemas(args);
-  if (!set.ok()) {
-    std::fprintf(stderr, "%s\n", set.status().ToString().c_str());
-    return 1;
-  }
-  if (args.trace_clock != "real" && args.trace_clock != "sim") {
-    std::fprintf(stderr, "unknown trace clock (want real|sim): %s\n",
-                 args.trace_clock.c_str());
-    return 2;
-  }
-  obs::MetricsRegistry registry;
-  obs::SystemTraceClock real_trace_clock;
-  obs::SimulatedTraceClock sim_trace_clock;
-  obs::TraceClock* trace_clock =
-      args.trace_clock == "sim"
-          ? static_cast<obs::TraceClock*>(&sim_trace_clock)
-          : &real_trace_clock;
-  obs::Tracer tracer(trace_clock);
-  tracer.set_process_name("coordinator");
-  const embed::HashedLexiconEncoder encoder;
-  const auto signatures = scoping::BuildSignatures(*set, encoder);
-
-  net::CoordinatorOptions options;
-  for (const std::string& spec : args.workers) {
-    const std::optional<net::Endpoint> endpoint =
-        EndpointFlag("--workers", spec);
-    if (!endpoint.has_value()) return 2;
-    options.workers.push_back(*endpoint);
-  }
-  options.v = args.v;
-  if (!args.faults.empty()) {
-    Result<FaultProfile> profile = ParseFaultSpec(args.faults);
-    if (!profile.ok()) {
-      std::fprintf(stderr, "--faults: %s\n",
-                   profile.status().ToString().c_str());
-      return 2;
-    }
-    options.faults = *profile;
-  }
-  if (!args.exchange_policy.empty()) {
-    Result<scoping::DegradedOptions> degraded =
-        scoping::ParseDegradedPolicy(args.exchange_policy);
-    if (!degraded.ok()) {
-      std::fprintf(stderr, "--exchange-policy: %s\n",
-                   degraded.status().ToString().c_str());
-      return 2;
-    }
-    options.degraded = *degraded;
-  }
-  SystemRunClock run_clock;
-  if (args.deadline_ms > 0) {
-    options.net.deadline = Deadline::After(&run_clock, args.deadline_ms);
-  }
-  options.net.metrics = &registry;
-  options.net.tracer = &tracer;
-  options.net.clock = trace_clock;
-  // The run-level trace id every worker span carries: derived from the
-  // fault seed so the coordinator and the byte-compare harness agree on
-  // it without coordination.
-  tracer.set_trace_id(DeriveTraceId(options.faults.seed));
-
-  Result<net::DistributedScopeResult> scoped = [&]() {
-    // Root span enclosing the distributed phases and the shutdown round;
-    // closed before any serialization so the trace buffer is complete.
-    obs::ScopedSpan span(&tracer, "coordinator.run");
-    Result<net::DistributedScopeResult> result = net::DistributedScope(
-        signatures, set->num_schemas(), options, &registry);
-    // Live workers are shut down either way; a dead one cannot object.
-    net::ShutdownWorkers(options.workers, options.net);
-    return result;
-  }();
-  if (!scoped.ok()) {
-    std::fprintf(stderr, "%s\n", scoped.status().ToString().c_str());
-    // No report will be written — the flight recorder's ledger of the
-    // last RPC/fault/retry events is the post-mortem.
-    DumpFlightToStderr();
-    return 1;
-  }
-
-  // Merged observability artifacts: the coordinator's own telemetry
-  // plus everything harvested from surviving workers. Dead workers are
-  // holes, so the merge never blocks on a corpse.
-  obs::MetricsSnapshot merged_metrics = registry.Snapshot();
-  for (size_t w = 0; w < scoped->telemetry.size(); ++w) {
-    if (!scoped->telemetry[w].has_value()) continue;
-    obs::MergePrefixed(merged_metrics, StrFormat("worker.%zu.", w),
-                       scoped->telemetry[w]->metrics);
-  }
-  if (!args.trace_out.empty()) {
-    std::vector<obs::ProcessTrace> processes;
-    obs::ProcessTrace coord;
-    coord.pid = 0;
-    coord.name = "coordinator";
-    coord.trace_id = tracer.trace_id();
-    coord.thread_names = tracer.ThreadNames();
-    coord.events = tracer.Events();
-    processes.push_back(std::move(coord));
-    for (size_t w = 0; w < scoped->telemetry.size(); ++w) {
-      if (!scoped->telemetry[w].has_value()) continue;
-      const net::WorkerTelemetry& telemetry = *scoped->telemetry[w];
-      obs::ProcessTrace proc;
-      proc.pid = static_cast<int>(w) + 1;
-      proc.name = StrFormat("worker.%zu", w);
-      proc.trace_id = telemetry.trace_id;
-      proc.thread_names = telemetry.thread_names;
-      proc.events = telemetry.events;
-      processes.push_back(std::move(proc));
-    }
-    if (!WriteTextFile(args.trace_out,
-                       obs::MergedTraceToChromeJson(processes))) {
-      return 1;
-    }
-  }
-
-  std::optional<ThreadPool> pool;
-  if (args.threads != 1) pool.emplace(args.threads);
-  std::unique_ptr<matching::Matcher> matcher =
-      matching::MakeMatcher(args.matcher, pool.has_value() ? &*pool : nullptr);
-  if (matcher == nullptr) {
-    std::fprintf(stderr, "unknown matcher: %s\n", args.matcher.name.c_str());
-    return 2;
-  }
-
-  // Assemble a PipelineRun so distributed runs reuse the in-memory
-  // report writer verbatim.
-  pipeline::PipelineRun run;
-  run.signatures = signatures;
-  run.keep = scoped->keep;
-  run.streamlined =
-      scoping::BuildStreamlinedSchemas(*set, run.signatures, run.keep);
-  run.linkages = matcher->Match(run.signatures, run.keep);
-  run.degradation = scoped->degradation;
-  exchange::ExchangeConfigEcho echo;
-  echo.transport = "tcp";
-  echo.faults = options.faults;
-  echo.retry = options.retry;
-  echo.policy = scoping::DegradedPolicyToString(options.degraded.policy);
-  echo.quorum = options.degraded.quorum;
-  for (const auto& [schema_index, endpoint] : scoped->assign.owners) {
-    echo.owners.emplace_back(schema_index, endpoint.ToString());
-  }
-  run.exchange_config = std::move(echo);
-  run.metrics = merged_metrics;
-  run.phases_completed = {"signatures", "local_models", "keep_mask",
-                          "streamline", "match"};
-  if (!scoped->lost_workers.empty()) {
-    // A degraded run ships its flight-recorder ledger in the report:
-    // which worker died, at which round, and what the re-executions did.
-    run.flight = obs::FlightRecorder::Global().Snapshot();
-  }
-
-  if (!args.metrics_out.empty() &&
-      !WriteTextFile(args.metrics_out,
-                     obs::SnapshotToJsonString(merged_metrics))) {
-    return 1;
-  }
-  if (args.json) {
-    std::printf("%s\n", pipeline::RunToJson(run, *set).c_str());
-    return 0;
-  }
-  std::printf("# exchange: %s\n",
-              exchange::FormatDegradationReport(*run.degradation).c_str());
-  if (!scoped->lost_workers.empty()) {
-    std::printf("# lost workers:");
-    for (size_t worker : scoped->lost_workers) {
-      std::printf(" %zu (%s)", worker,
-                  options.workers[worker].ToString().c_str());
-    }
-    std::printf("\n");
-  }
-  if (args.command == "match") {
-    std::printf("# %zu correspondences from %s on streamlined schemas\n",
-                run.linkages.size(), matcher->name().c_str());
-    for (const auto& [a, b] : run.linkages) {
-      std::printf("%s <-> %s\n", set->QualifiedName(a).c_str(),
-                  set->QualifiedName(b).c_str());
-    }
-    return 0;
-  }
-  for (size_t i = 0; i < run.keep.size(); ++i) {
-    std::printf("%-9s %s\n", run.keep[i] ? "linkable" : "pruned",
-                set->QualifiedName(run.signatures.refs[i]).c_str());
-  }
-  std::printf("# kept %zu / %zu elements\n", run.num_kept(),
-              run.keep.size());
-  return 0;
 }
 
 /// `colscope serve` / `--role serve`: the resident colscoped daemon
@@ -1081,7 +911,27 @@ int RunShutdownClient(const CliArgs& args) {
   return 0;
 }
 
+/// The pipeline run, in process or — `--role coordinator` — with phases
+/// II + III on the --workers processes (docs/DISTRIBUTED.md).
 int RunPipeline(const CliArgs& args) {
+  const bool coordinator = args.role == "coordinator";
+  std::vector<net::Endpoint> workers;
+  if (coordinator) {
+    if (args.workers.empty()) {
+      std::fprintf(stderr, "coordinator requires at least one --workers\n");
+      return 2;
+    }
+    if (args.command == "scope" && args.explain) {
+      std::fprintf(stderr, "--explain: the models stay on the workers\n");
+      return 2;
+    }
+    for (const std::string& spec : args.workers) {
+      const std::optional<net::Endpoint> endpoint =
+          EndpointFlag("--workers", spec);
+      if (!endpoint.has_value()) return 2;
+      workers.push_back(*endpoint);
+    }
+  }
   Result<schema::SchemaSet> set = LoadSchemas(args);
   if (!set.ok()) {
     std::fprintf(stderr, "%s\n", set.status().ToString().c_str());
@@ -1090,19 +940,16 @@ int RunPipeline(const CliArgs& args) {
 
   // Observability: a per-run registry plus a tracer over the chosen
   // clock. The simulated clock makes trace/metrics files byte-identical
-  // across identical runs (profiling uses the real clock).
-  const bool observe = !args.metrics_out.empty() || !args.trace_out.empty();
+  // across identical runs (profiling uses the real clock). A coordinator
+  // is always instrumented: its report carries the workers' telemetry.
+  const bool observe =
+      coordinator || !args.metrics_out.empty() || !args.trace_out.empty();
   obs::MetricsRegistry registry;
   obs::SystemTraceClock real_clock;
   obs::SimulatedTraceClock sim_clock;
-  if (args.trace_clock != "real" && args.trace_clock != "sim") {
-    std::fprintf(stderr, "unknown trace clock (want real|sim): %s\n",
-                 args.trace_clock.c_str());
-    return 2;
-  }
-  obs::Tracer tracer(args.trace_clock == "sim"
-                         ? static_cast<obs::TraceClock*>(&sim_clock)
-                         : &real_clock);
+  obs::TraceClock* trace_clock = TraceClockFlag(args, real_clock, sim_clock);
+  if (trace_clock == nullptr) return 2;
+  obs::Tracer tracer(trace_clock);
 
   const embed::HashedLexiconEncoder encoder;
   const outlier::PcaDetector detector(0.5);
@@ -1162,8 +1009,9 @@ int RunPipeline(const CliArgs& args) {
     options.detector = &detector;
   }
 
-  if (!args.faults.empty() || !args.exchange_policy.empty()) {
+  if (coordinator || !args.faults.empty() || !args.exchange_policy.empty()) {
     options.exchange.enabled = true;
+    options.exchange.workers = workers;
     if (!args.faults.empty()) {
       Result<FaultProfile> profile = ParseFaultSpec(args.faults);
       if (!profile.ok()) {
@@ -1192,24 +1040,68 @@ int RunPipeline(const CliArgs& args) {
     return 2;
   }
 
+  if (coordinator) {
+    tracer.set_process_name("coordinator");
+    // The run-level trace id every worker span carries, derived from the
+    // fault seed so repeat runs agree on it.
+    tracer.set_trace_id(DeriveTraceId(options.exchange.faults.seed));
+  }
   pipeline::Pipeline pipe(&encoder, options);
-  Result<pipeline::PipelineRun> run = pipe.Run(*set, *matcher);
+  Result<pipeline::PipelineRun> run = [&] {
+    obs::ScopedSpan span(coordinator ? &tracer : nullptr, "coordinator.run");
+    Result<pipeline::PipelineRun> result = pipe.Run(*set, *matcher);
+    if (coordinator) {
+      // Shut the workers down however the run ended, so without the run
+      // deadline: the round keeps only its own io timeouts.
+      net::NetOptions net;
+      net.metrics = &registry;
+      net.tracer = &tracer;
+      net.clock = trace_clock;
+      net::ShutdownWorkers(workers, net);
+    }
+    return result;
+  }();
   if (!run.ok()) {
     std::fprintf(stderr, "%s\n", run.status().ToString().c_str());
+    // A failed coordinator writes no report; the flight ledger is its
+    // post-mortem.
+    if (coordinator) DumpFlightToStderr();
     return 1;
   }
   if (run->degradation.has_value() && !args.json) {
     std::printf("# exchange: %s\n",
                 exchange::FormatDegradationReport(*run->degradation).c_str());
   }
+  if (run->workers.has_value() && !run->workers->lost_workers.empty()) {
+    // The recent-event ledger names the lost workers' missed rounds.
+    run->flight = obs::FlightRecorder::Global().Snapshot();
+    if (!args.json) {
+      std::printf("# lost workers:");
+      for (size_t worker : run->workers->lost_workers) {
+        std::printf(" %zu (%s)", worker, workers[worker].ToString().c_str());
+      }
+      std::printf("\n");
+    }
+  }
 
+  std::string trace_json;
+  if (coordinator) {
+    std::vector<obs::ProcessTrace> processes;
+    run->metrics =
+        MergeWorkerTelemetry(registry, tracer, run->workers, processes);
+    if (!args.trace_out.empty()) {
+      trace_json = obs::MergedTraceToChromeJson(processes);
+    }
+  } else if (!args.trace_out.empty()) {
+    trace_json = tracer.ToChromeJson();
+  }
   if (!args.metrics_out.empty() &&
       !WriteTextFile(args.metrics_out,
-                     obs::SnapshotToJsonString(registry.Snapshot()))) {
+                     obs::SnapshotToJsonString(
+                         coordinator ? *run->metrics : registry.Snapshot()))) {
     return 1;
   }
-  if (!args.trace_out.empty() &&
-      !WriteTextFile(args.trace_out, tracer.ToChromeJson())) {
+  if (!args.trace_out.empty() && !WriteTextFile(args.trace_out, trace_json)) {
     return 1;
   }
 
@@ -1304,8 +1196,11 @@ int main(int argc, char** argv) {
   if (!args.role.empty()) {
     if (args.role == "worker") return RunWorker(args);
     if (args.role == "coordinator") {
-      if (args.command != "scope" && args.command != "match") return Usage();
-      return RunCoordinator(args);
+      if (args.command != "scope" && args.command != "match" &&
+          args.command != "export") {
+        return Usage();
+      }
+      return RunPipeline(args);
     }
     if (args.role == "serve") return RunServe(args);
     std::fprintf(stderr, "unknown role (want worker|coordinator|serve): %s\n",

@@ -12,7 +12,9 @@
 #   5. kernels-matrix:    kernel equivalence tests under native dispatch
 #                         and with COLSCOPE_FORCE_SCALAR=1
 #   6. bench-smoke:       tools/run_benches.sh --smoke + regression gates
-#   7. lint:              header / build-artifact / format / shell checks
+#   7. perfbench-selftest: python3 perfbench/selftest.py (the end-to-end
+#                         benchmark builds and checks itself)
+#   8. lint:              header / build-artifact / format / shell checks
 #
 # With --nightly the bench job mirrors the CI nightly-bench lane
 # instead (tools/run_benches.sh --all at full sizes, results in
@@ -128,7 +130,16 @@ else
   tools/run_benches.sh --smoke --out bench-results
 fi
 
-# Job 7: lint.
+# Job 7: the end-to-end benchmark's self-test (Release build of ../src).
+# Shares --skip-bench with job 6.
+if [ "$skip_bench" -eq 1 ]; then
+  note "perfbench-selftest: skipped (--skip-bench)"
+else
+  note "perfbench-selftest"
+  python3 perfbench/selftest.py
+fi
+
+# Job 8: lint.
 note "lint"
 tools/check_headers.sh src "${CXX:-c++}" bench
 tools/check_no_build_artifacts.sh .
