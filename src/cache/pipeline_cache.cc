@@ -364,9 +364,11 @@ Result<std::vector<scoping::LocalModel>> PipelineCache::FitLocalModels(
 
 Result<std::vector<bool>> PipelineCache::AssessAll(
     const scoping::SignatureSet& signatures,
-    const std::vector<scoping::LocalModel>& models) {
+    const std::vector<scoping::LocalModel>& models,
+    obs::MetricsRegistry* metrics) {
   const uint64_t models_fp = ModelSetFingerprint(models);
-  return scoping::MergeConsumerVerdicts(
+  scoping::ModelPasses passes;
+  Result<std::vector<bool>> keep = scoping::MergeConsumerVerdicts(
       signatures, serialized_.size(),
       [&](int schema) -> Result<std::vector<bool>> {
         const size_t s = static_cast<size_t>(schema);
@@ -377,6 +379,8 @@ Result<std::vector<bool>> PipelineCache::AssessAll(
           Result<std::vector<bool>> slice =
               scoping::DeserializeKeepMask(*payload);
           if (slice.ok() && slice->size() == serialized_[s].size()) {
+            passes.exhaustive +=
+                slice->size() * scoping::ForeignModels(models, schema);
             return slice;
           }
           COLSCOPE_LOG(Warn) << "unparseable cached keep slice for source "
@@ -384,7 +388,8 @@ Result<std::vector<bool>> PipelineCache::AssessAll(
         }
 
         std::vector<bool> linkable = scoping::AssessLinkability(
-            signatures.SchemaSignatures(schema), schema, models);
+            signatures.signatures, signatures.RowsOfSchema(schema), schema,
+            models, &passes);
         const Status put =
             cache_->Put(key, scoping::SerializeKeepMask(linkable));
         if (put.interrupted()) return put;
@@ -394,6 +399,8 @@ Result<std::vector<bool>> PipelineCache::AssessAll(
         }
         return linkable;
       });
+  if (keep.ok()) scoping::RecordModelPasses(passes, metrics);
+  return keep;
 }
 
 Result<std::set<matching::ElementPair>> PipelineCache::Match(

@@ -81,9 +81,13 @@ class PipelineCache {
       ThreadPool* pool, const CancellationToken* cancel);
 
   /// Phase III (fault-free path) with per-source keep-slice memoization.
+  /// Sources are assessed serially: their Get/Put order drives LRU
+  /// eviction. A non-null `metrics` receives the model-pass counters (a
+  /// hit performs no pass).
   Result<std::vector<bool>> AssessAll(
       const scoping::SignatureSet& signatures,
-      const std::vector<scoping::LocalModel>& models);
+      const std::vector<scoping::LocalModel>& models,
+      obs::MetricsRegistry* metrics = nullptr);
 
   /// Matching with per-source-pair similarity-block memoization. Only
   /// valid for matchers with a non-empty BlockCacheId (the union of

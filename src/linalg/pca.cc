@@ -1,7 +1,9 @@
 #include "linalg/pca.h"
 
 #include <algorithm>
+#include <numeric>
 
+#include "linalg/simd/kernels.h"
 #include "linalg/stats.h"
 #include "linalg/svd.h"
 
@@ -83,12 +85,41 @@ Matrix PcaModel::Decode(const Matrix& z) const {
   return UncenterRows(expanded, mean_);
 }
 
-Matrix PcaModel::Reconstruct(const Matrix& x) const {
-  return Decode(Encode(x));
+Vector PcaModel::ReconstructionErrors(const Matrix& x) const {
+  std::vector<size_t> rows(x.rows());
+  std::iota(rows.begin(), rows.end(), size_t{0});
+  return ReconstructionErrors(x, rows);
 }
 
-Vector PcaModel::ReconstructionErrors(const Matrix& x) const {
-  return RowwiseMse(x, Reconstruct(x));
+Vector PcaModel::ReconstructionErrors(const Matrix& x,
+                                      std::span<const size_t> rows) const {
+  COLSCOPE_CHECK(x.cols() == dims());
+  const auto& kernels = simd::Active();
+  const size_t d = dims();
+  const size_t k = n_components();
+  // Transposed per call, not kept with the model: a second long-lived
+  // k x d copy per model raised the benchmark's peak RSS through heap
+  // fragmentation, while one transpose per call costs O(k·d).
+  const Matrix components_t = components_.Transposed();
+  Vector centered(d);
+  Vector code(k);
+  Vector reconstructed(d);
+  Vector out(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    COLSCOPE_CHECK(rows[i] < x.rows());
+    const double* row = x.RowPtr(rows[i]);
+    for (size_t c = 0; c < d; ++c) centered[c] = row[c] - mean_[c];
+    for (size_t j = 0; j < k; ++j) {
+      code[j] = kernels.dot(centered.data(), components_.RowPtr(j), d);
+    }
+    for (size_t c = 0; c < d; ++c) {
+      reconstructed[c] =
+          kernels.dot(code.data(), components_t.RowPtr(c), k) + mean_[c];
+    }
+    out[i] = kernels.squared_l2(row, reconstructed.data(), d) /
+             static_cast<double>(d);
+  }
+  return out;
 }
 
 double PcaModel::ReconstructionError(const Vector& v) const {

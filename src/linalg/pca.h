@@ -1,6 +1,8 @@
 #ifndef COLSCOPE_LINALG_PCA_H_
 #define COLSCOPE_LINALG_PCA_H_
 
+#include <span>
+
 #include "common/status.h"
 #include "linalg/matrix.h"
 
@@ -50,11 +52,19 @@ class PcaModel {
   /// Reconstructs encoded rows back to the input space: z * PC + mean.
   Matrix Decode(const Matrix& z) const;
 
-  /// Encode followed by Decode — the full reconstruction of Alg. 1/2.
-  Matrix Reconstruct(const Matrix& x) const;
-
-  /// Per-row reconstruction MSE of `x` (the outlier score s_{k_i}).
+  /// Per-row reconstruction MSE of `x` (the outlier score s_{k_i}):
+  /// ReconstructionErrors over every row in order.
   Vector ReconstructionErrors(const Matrix& x) const;
+
+  /// Reconstruction MSE of the rows of `x` listed in `rows` (any order,
+  /// repeats allowed), one output per listed row. Each row is streamed
+  /// through the kernels of Encode -> Decode -> RowwiseMse in the same
+  /// order — center, k dots against the components, d dots of length k
+  /// against their transpose (built once per call), add the mean,
+  /// squared L2 / d — so a row's error is bit-identical to the composed
+  /// whole-matrix kernels and independent of which other rows are listed.
+  Vector ReconstructionErrors(const Matrix& x,
+                              std::span<const size_t> rows) const;
 
   /// Reconstruction MSE of a single signature.
   double ReconstructionError(const Vector& v) const;

@@ -180,8 +180,8 @@ ConsumerPartial AssessConsumerOverTransport(
   reduced.arrived = arrived.size();
   const size_t expected_peers = run.num_schemas > 0 ? run.num_schemas - 1 : 0;
   Result<std::vector<bool>> bits = scoping::AssessLinkabilityDegraded(
-      signatures.SchemaSignatures(consumer), consumer, arrived,
-      expected_peers, run.degraded);
+      signatures.signatures, signatures.RowsOfSchema(consumer), consumer,
+      arrived, expected_peers, run.degraded);
   if (bits.ok()) {
     reduced.ok = true;
     reduced.bits = std::move(bits).value();

@@ -27,17 +27,30 @@ DenseLayer::DenseLayer(size_t in_dim, size_t out_dim, bool relu, Rng& rng)
   }
 }
 
-linalg::Matrix DenseLayer::Forward(const linalg::Matrix& x) {
+linalg::Matrix DenseLayer::PreActivation(const linalg::Matrix& x) const {
   COLSCOPE_CHECK(x.cols() == in_dim_);
-  input_ = x;
-  pre_act_ = x.Multiply(weights_);
-  for (size_t r = 0; r < pre_act_.rows(); ++r) {
-    double* row = pre_act_.RowPtr(r);
+  linalg::Matrix pre = x.Multiply(weights_);
+  for (size_t r = 0; r < pre.rows(); ++r) {
+    double* row = pre.RowPtr(r);
     for (size_t c = 0; c < out_dim_; ++c) row[c] += biases_[c];
   }
+  return pre;
+}
+
+linalg::Matrix DenseLayer::Forward(const linalg::Matrix& x) {
+  input_ = x;
+  pre_act_ = PreActivation(x);
   if (!relu_) return pre_act_;
   linalg::Matrix out = pre_act_;
   for (double& v : out.data()) v = v > 0.0 ? v : 0.0;
+  return out;
+}
+
+linalg::Matrix DenseLayer::Infer(const linalg::Matrix& x) const {
+  linalg::Matrix out = PreActivation(x);
+  if (relu_) {
+    for (double& v : out.data()) v = v > 0.0 ? v : 0.0;
+  }
   return out;
 }
 
@@ -89,9 +102,9 @@ Mlp::Mlp(const std::vector<size_t>& layer_dims, uint64_t seed) {
   }
 }
 
-linalg::Matrix Mlp::Predict(const linalg::Matrix& x) {
+linalg::Matrix Mlp::Predict(const linalg::Matrix& x) const {
   linalg::Matrix h = x;
-  for (DenseLayer& layer : layers_) h = layer.Forward(h);
+  for (const DenseLayer& layer : layers_) h = layer.Infer(h);
   return h;
 }
 

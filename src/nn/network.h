@@ -20,6 +20,10 @@ class DenseLayer {
   /// and input needed by Backward.
   linalg::Matrix Forward(const linalg::Matrix& x);
 
+  /// Inference forward pass: Forward's arithmetic, bit for bit, without
+  /// caching anything, so concurrent calls on one layer are safe.
+  linalg::Matrix Infer(const linalg::Matrix& x) const;
+
   /// Backward pass: receives dL/dy, returns dL/dx, and accumulates
   /// parameter gradients for the following AdamStep.
   linalg::Matrix Backward(const linalg::Matrix& grad_out);
@@ -32,6 +36,9 @@ class DenseLayer {
   size_t out_dim() const { return out_dim_; }
 
  private:
+  /// x W + b, the pre-activation both forward passes share.
+  linalg::Matrix PreActivation(const linalg::Matrix& x) const;
+
   size_t in_dim_;
   size_t out_dim_;
   bool relu_;
@@ -66,8 +73,9 @@ class Mlp {
   /// e.g. {768, 100, 10, 100, 768}. All layers but the last use ReLU.
   Mlp(const std::vector<size_t>& layer_dims, uint64_t seed);
 
-  /// Forward pass without caching gradients (inference).
-  linalg::Matrix Predict(const linalg::Matrix& x);
+  /// Forward pass without caching gradients (inference). Writes no
+  /// member, so threads may share one trained network.
+  linalg::Matrix Predict(const linalg::Matrix& x) const;
 
   /// One epoch of minibatch MSE training against `target`; returns the
   /// epoch's mean MSE loss. Deterministic batch order (no shuffling

@@ -350,16 +350,20 @@ Result<PipelineRun> Pipeline::Run(const schema::SchemaSet& set,
         obs::ScopedSpan span(options_.tracer, "pipeline.assess");
         return cached_or_computed(
             memo.has_value(), "keep mask",
-            [&] { return memo->AssessAll(run.signatures, run.local_models); },
+            [&] {
+              return memo->AssessAll(run.signatures, run.local_models,
+                                     options_.metrics);
+            },
             [&] {
               return scoping::AssessAll(run.signatures, set.num_schemas(),
-                                        run.local_models);
+                                        run.local_models, options_.metrics);
             });
       }
       case ScoperKind::kCollaborativeNeural: {
         obs::ScopedSpan span(options_.tracer, "pipeline.assess");
         return scoping::CollaborativeScopingNeural(
-            run.signatures, set.num_schemas(), options_.neural);
+            run.signatures, set.num_schemas(), options_.neural,
+            options_.metrics);
       }
       case ScoperKind::kGlobalScoping: {
         obs::ScopedSpan span(options_.tracer, "pipeline.assess");

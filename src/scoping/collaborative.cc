@@ -47,6 +47,11 @@ linalg::Vector LocalModel::ReconstructionErrors(
   return pca_.ReconstructionErrors(signatures);
 }
 
+linalg::Vector LocalModel::ReconstructionErrors(
+    const linalg::Matrix& signatures, std::span<const size_t> rows) const {
+  return pca_.ReconstructionErrors(signatures, rows);
+}
+
 bool LocalModel::Recognizes(const linalg::Vector& signature) const {
   return ReconstructionError(signature) <= linkability_range_;
 }
@@ -97,13 +102,11 @@ Result<DegradedOptions> ParseDegradedPolicy(const std::string& spec) {
 }
 
 Result<std::vector<bool>> AssessLinkabilityDegraded(
-    const linalg::Matrix& local_signatures, int own_schema_index,
-    const std::vector<LocalModel>& arrived, size_t expected_peers,
-    const DegradedOptions& options) {
-  size_t foreign = 0;
-  for (const LocalModel& model : arrived) {
-    if (model.schema_index() != own_schema_index) ++foreign;
-  }
+    const linalg::Matrix& signatures, std::span<const size_t> rows,
+    int own_schema_index, const std::vector<LocalModel>& arrived,
+    size_t expected_peers, const DegradedOptions& options,
+    ModelPasses* passes) {
+  const size_t foreign = ForeignModels(arrived, own_schema_index);
   switch (options.policy) {
     case DegradedPolicy::kFailClosed:
       if (foreign < expected_peers) {
@@ -117,7 +120,7 @@ Result<std::vector<bool>> AssessLinkabilityDegraded(
       if (foreign == 0) {
         // All peers unreachable: fall back to the traditional pipeline
         // for this schema — keep every element (Figure 2, no pruning).
-        return std::vector<bool>(local_signatures.rows(), true);
+        return std::vector<bool>(rows.size(), true);
       }
       break;
     case DegradedPolicy::kQuorum:
@@ -128,7 +131,8 @@ Result<std::vector<bool>> AssessLinkabilityDegraded(
       }
       break;
   }
-  return AssessLinkability(local_signatures, own_schema_index, arrived);
+  return AssessLinkability(signatures, rows, own_schema_index, arrived,
+                           passes);
 }
 
 Result<std::vector<LocalModel>> FitLocalModelsOf(
@@ -218,17 +222,30 @@ Result<std::vector<bool>> MergeConsumerVerdicts(
   return keep;
 }
 
+void RecordModelPasses(const ModelPasses& passes,
+                       obs::MetricsRegistry* metrics) {
+  if (metrics == nullptr) return;
+  metrics->GetCounter("scoping.model_passes.exhaustive")
+      .Increment(passes.exhaustive);
+  metrics->GetCounter("scoping.model_passes.performed")
+      .Increment(passes.performed);
+}
+
 std::vector<bool> AssessAll(const SignatureSet& signatures,
                             size_t num_schemas,
-                            const std::vector<LocalModel>& models) {
+                            const std::vector<LocalModel>& models,
+                            obs::MetricsRegistry* metrics) {
+  ModelPasses passes;
+  Result<std::vector<bool>> keep = MergeConsumerVerdicts(
+      signatures, num_schemas,
+      [&](int schema) -> Result<std::vector<bool>> {
+        return AssessLinkability(signatures.signatures,
+                                 signatures.RowsOfSchema(schema), schema,
+                                 models, &passes);
+      });
+  RecordModelPasses(passes, metrics);
   // Every verdict is a full-length mask, so the merge cannot fail.
-  return MergeConsumerVerdicts(
-             signatures, num_schemas,
-             [&](int schema) -> Result<std::vector<bool>> {
-               return AssessLinkability(signatures.SchemaSignatures(schema),
-                                        schema, models);
-             })
-      .value();
+  return std::move(keep).value();
 }
 
 Result<std::vector<bool>> AssessAllSparse(
@@ -241,15 +258,18 @@ Result<std::vector<bool>> AssessAllSparse(
                   arrived_per_schema.size()));
   }
   const size_t expected_peers = num_schemas > 0 ? num_schemas - 1 : 0;
-  return MergeConsumerVerdicts(
+  ModelPasses passes;
+  Result<std::vector<bool>> keep = MergeConsumerVerdicts(
       signatures, num_schemas,
       [&](int schema) {
         return AssessLinkabilityDegraded(
-            signatures.SchemaSignatures(schema), schema,
+            signatures.signatures, signatures.RowsOfSchema(schema), schema,
             arrived_per_schema[static_cast<size_t>(schema)], expected_peers,
-            options);
+            options, &passes);
       },
       &options, metrics);
+  if (keep.ok()) RecordModelPasses(passes, metrics);
+  return keep;
 }
 
 Result<std::vector<bool>> CollaborativeScoping(const SignatureSet& signatures,

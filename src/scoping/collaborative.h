@@ -2,6 +2,8 @@
 #define COLSCOPE_SCOPING_COLLABORATIVE_H_
 
 #include <functional>
+#include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,6 +48,11 @@ class LocalModel {
   /// Per-row reconstruction MSE for a batch of foreign signatures.
   linalg::Vector ReconstructionErrors(const linalg::Matrix& signatures) const;
 
+  /// Reconstruction MSE of the listed rows of `signatures`, read in
+  /// place (see linalg::PcaModel::ReconstructionErrors).
+  linalg::Vector ReconstructionErrors(const linalg::Matrix& signatures,
+                                      std::span<const size_t> rows) const;
+
   /// Definition 4: true iff `signature` reconstructs within the local
   /// linkability range [0, l_k].
   bool Recognizes(const linalg::Vector& signature) const;
@@ -65,25 +72,80 @@ class LocalModel {
   int schema_index_;
 };
 
-/// Algorithm 2 for one schema: assesses every row of `local_signatures`
-/// against the models of the *other* schemas; a row is linkable if at
-/// least one foreign model reconstructs it within its linkability range.
-/// Models whose schema_index equals `own_schema_index` are skipped. The
+/// Algorithm 2's model passes over one or more consumers: `exhaustive`
+/// scores every row against every foreign model present (the §4.4
+/// |S|·(|M|−1) count); `performed` is the rows the early exit scored.
+struct ModelPasses {
+  size_t exhaustive = 0;
+  size_t performed = 0;
+};
+
+/// Number of models in `models` that do not belong to `own_schema_index`.
+template <typename Model>
+size_t ForeignModels(const std::vector<Model>& models, int own_schema_index) {
+  size_t foreign = 0;
+  for (const Model& model : models) {
+    if (model.schema_index() != own_schema_index) ++foreign;
+  }
+  return foreign;
+}
+
+/// Algorithm 2 for one schema whose signatures are the rows `rows` of
+/// `signatures` (read in place): a row is linkable if at least one
+/// foreign model reconstructs it within its linkability range. Models
+/// whose schema_index equals `own_schema_index` are skipped. Rows a model
+/// recognizes are decided — OR-ing in later models cannot change them —
+/// so each later model scores only the still-undecided rows, and the
+/// loop stops once none is left. A row's error does not depend on which
+/// rows share its batch, so the result equals the exhaustive pass. The
 /// one per-model loop of phase III, for LocalModel and NeuralLocalModel.
+/// A non-null `passes` accumulates the run's model passes.
+template <typename Model>
+std::vector<bool> AssessLinkability(const linalg::Matrix& signatures,
+                                    std::span<const size_t> rows,
+                                    int own_schema_index,
+                                    const std::vector<Model>& models,
+                                    ModelPasses* passes = nullptr) {
+  std::vector<bool> linkable(rows.size(), false);
+  // The still-undecided signature rows; undecided[i] is
+  // rows[position[i]].
+  std::vector<size_t> undecided(rows.begin(), rows.end());
+  std::vector<size_t> position(rows.size());
+  std::iota(position.begin(), position.end(), size_t{0});
+  for (const Model& model : models) {
+    if (undecided.empty()) break;
+    if (model.schema_index() == own_schema_index) continue;
+    const linalg::Vector errors =
+        model.ReconstructionErrors(signatures, undecided);
+    if (passes != nullptr) passes->performed += undecided.size();
+    size_t left = 0;
+    for (size_t i = 0; i < errors.size(); ++i) {
+      if (errors[i] <= model.linkability_range()) {
+        linkable[position[i]] = true;
+      } else {
+        undecided[left] = undecided[i];
+        position[left] = position[i];
+        ++left;
+      }
+    }
+    undecided.resize(left);
+    position.resize(left);
+  }
+  if (passes != nullptr) {
+    passes->exhaustive +=
+        rows.size() * ForeignModels(models, own_schema_index);
+  }
+  return linkable;
+}
+
+/// AssessLinkability over every row of one schema's own signature matrix.
 template <typename Model>
 std::vector<bool> AssessLinkability(const linalg::Matrix& local_signatures,
                                     int own_schema_index,
                                     const std::vector<Model>& models) {
-  std::vector<bool> linkable(local_signatures.rows(), false);
-  for (const Model& model : models) {
-    if (model.schema_index() == own_schema_index) continue;
-    const linalg::Vector errors =
-        model.ReconstructionErrors(local_signatures);
-    for (size_t i = 0; i < errors.size(); ++i) {
-      if (errors[i] <= model.linkability_range()) linkable[i] = true;
-    }
-  }
-  return linkable;
+  std::vector<size_t> rows(local_signatures.rows());
+  std::iota(rows.begin(), rows.end(), size_t{0});
+  return AssessLinkability(local_signatures, rows, own_schema_index, models);
 }
 
 /// What collaborative scoping does when peer models are missing — e.g.
@@ -115,15 +177,18 @@ struct DegradedOptions {
 /// "quorum[:N]" (N defaults to 1).
 Result<DegradedOptions> ParseDegradedPolicy(const std::string& spec);
 
-/// Algorithm 2 for one schema over a possibly-incomplete model set.
-/// `arrived` holds the foreign models that reached this schema (own
-/// models are skipped as in AssessLinkability); `expected_peers` is how
-/// many foreign models a fault-free exchange would have delivered. The
-/// policy decides between assessing, keeping everything, and erroring.
+/// Algorithm 2 for one schema over a possibly-incomplete model set; the
+/// schema's signatures are the rows `rows` of `signatures`. `arrived`
+/// holds the foreign models that reached this schema (own models are
+/// skipped as in AssessLinkability); `expected_peers` is how many foreign
+/// models a fault-free exchange would have delivered. The policy decides
+/// between assessing, keeping everything, and erroring. A non-null
+/// `passes` accumulates the assessment's model passes.
 Result<std::vector<bool>> AssessLinkabilityDegraded(
-    const linalg::Matrix& local_signatures, int own_schema_index,
-    const std::vector<LocalModel>& arrived, size_t expected_peers,
-    const DegradedOptions& options);
+    const linalg::Matrix& signatures, std::span<const size_t> rows,
+    int own_schema_index, const std::vector<LocalModel>& arrived,
+    size_t expected_peers, const DegradedOptions& options,
+    ModelPasses* passes = nullptr);
 
 /// Full collaborative scoping (phases II + III) over a signature set:
 /// fits one local model per schema at explained variance `v` and runs the
@@ -169,17 +234,27 @@ Result<std::vector<bool>> MergeConsumerVerdicts(
     const ConsumerVerdict& verdict, const DegradedOptions* policy = nullptr,
     obs::MetricsRegistry* metrics = nullptr);
 
-/// Phase III given prefitted models.
+/// Adds the model passes of one phase-III run to the
+/// "scoping.model_passes.exhaustive" / ".performed" counters of `metrics`
+/// (a no-op when null).
+void RecordModelPasses(const ModelPasses& passes,
+                       obs::MetricsRegistry* metrics);
+
+/// Phase III given prefitted models: each consumer schema's rows are read
+/// in place from `signatures.signatures`. A non-null `metrics` receives
+/// the model-pass counters.
 std::vector<bool> AssessAll(const SignatureSet& signatures,
                             size_t num_schemas,
-                            const std::vector<LocalModel>& models);
+                            const std::vector<LocalModel>& models,
+                            obs::MetricsRegistry* metrics = nullptr);
 
 /// Phase III over a sparse model set: `arrived_per_schema[k]` holds the
 /// foreign models consumer schema k obtained (each consumer may have a
 /// different subset after a faulty exchange). The degradation policy in
 /// `options` decides how schemas with missing peers are handled.
 /// When `metrics` is non-null the assessment emits per-policy pruning
-/// counters: "scoping.kept.<policy>" and "scoping.pruned.<policy>".
+/// counters: "scoping.kept.<policy>" and "scoping.pruned.<policy>", plus
+/// the model-pass counters.
 Result<std::vector<bool>> AssessAllSparse(
     const SignatureSet& signatures, size_t num_schemas,
     const std::vector<std::vector<LocalModel>>& arrived_per_schema,

@@ -44,6 +44,17 @@ linalg::Vector NeuralLocalModel::ReconstructionErrors(
   return linalg::RowwiseMse(signatures, net_->Predict(signatures));
 }
 
+linalg::Vector NeuralLocalModel::ReconstructionErrors(
+    const linalg::Matrix& signatures, std::span<const size_t> rows) const {
+  linalg::Matrix batch(rows.size(), signatures.cols());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    COLSCOPE_CHECK(rows[i] < signatures.rows());
+    std::copy_n(signatures.RowPtr(rows[i]), signatures.cols(),
+                batch.RowPtr(i));
+  }
+  return ReconstructionErrors(batch);
+}
+
 double NeuralLocalModel::ReconstructionError(
     const linalg::Vector& signature) const {
   linalg::Matrix one(1, signature.size());
@@ -68,16 +79,20 @@ Result<std::vector<NeuralLocalModel>> FitNeuralLocalModels(
 
 Result<std::vector<bool>> CollaborativeScopingNeural(
     const SignatureSet& signatures, size_t num_schemas,
-    const NeuralLocalModelOptions& options) {
+    const NeuralLocalModelOptions& options, obs::MetricsRegistry* metrics) {
   Result<std::vector<NeuralLocalModel>> models =
       FitNeuralLocalModels(signatures, num_schemas, options);
   if (!models.ok()) return models.status();
 
-  return MergeConsumerVerdicts(
+  ModelPasses passes;
+  Result<std::vector<bool>> keep = MergeConsumerVerdicts(
       signatures, num_schemas, [&](int schema) -> Result<std::vector<bool>> {
-        return AssessLinkability(signatures.SchemaSignatures(schema), schema,
-                                 *models);
+        return AssessLinkability(signatures.signatures,
+                                 signatures.RowsOfSchema(schema), schema,
+                                 *models, &passes);
       });
+  if (keep.ok()) RecordModelPasses(passes, metrics);
+  return keep;
 }
 
 }  // namespace colscope::scoping

@@ -3,11 +3,16 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
 #include "nn/network.h"
 #include "scoping/signatures.h"
+
+namespace colscope::obs {
+class MetricsRegistry;
+}  // namespace colscope::obs
 
 namespace colscope::scoping {
 
@@ -42,6 +47,11 @@ class NeuralLocalModel {
   /// Per-row reconstruction MSE of foreign signatures.
   linalg::Vector ReconstructionErrors(const linalg::Matrix& signatures) const;
 
+  /// Reconstruction MSE of the listed rows of `signatures`, gathered into
+  /// one Predict batch (each output row depends only on its input row).
+  linalg::Vector ReconstructionErrors(const linalg::Matrix& signatures,
+                                      std::span<const size_t> rows) const;
+
   double ReconstructionError(const linalg::Vector& signature) const;
 
   int schema_index() const { return schema_index_; }
@@ -55,7 +65,8 @@ class NeuralLocalModel {
         schema_index_(schema_index) {}
 
   // shared_ptr so models stay copyable like the PCA LocalModel; the
-  // network is immutable after Fit (Predict does not learn).
+  // network is immutable after Fit (Predict is const and caches nothing,
+  // so copies may score on different threads).
   std::shared_ptr<nn::Mlp> net_;
   double linkability_range_;
   int schema_index_;
@@ -63,10 +74,12 @@ class NeuralLocalModel {
 
 /// Full collaborative scoping with neural local models: fits one
 /// autoencoder per schema and runs the distributed assessment
-/// (Algorithm 2). Returns the keep-mask in signature row order.
+/// (Algorithm 2) serially. Returns the keep-mask in signature row order.
+/// A non-null `metrics` receives the model-pass counters.
 Result<std::vector<bool>> CollaborativeScopingNeural(
     const SignatureSet& signatures, size_t num_schemas,
-    const NeuralLocalModelOptions& options = {});
+    const NeuralLocalModelOptions& options = {},
+    obs::MetricsRegistry* metrics = nullptr);
 
 /// Phase II only, exposed for sweeps over the options.
 Result<std::vector<NeuralLocalModel>> FitNeuralLocalModels(

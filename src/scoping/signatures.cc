@@ -1,5 +1,7 @@
 #include "scoping/signatures.h"
 
+#include <algorithm>
+
 #include "obs/trace.h"
 #include "schema/serialize.h"
 
@@ -17,7 +19,7 @@ linalg::Matrix SignatureSet::SchemaSignatures(int schema_index) const {
   const std::vector<size_t> rows = RowsOfSchema(schema_index);
   linalg::Matrix out(rows.size(), signatures.cols());
   for (size_t i = 0; i < rows.size(); ++i) {
-    out.SetRow(i, signatures.Row(rows[i]));
+    std::copy_n(signatures.RowPtr(rows[i]), signatures.cols(), out.RowPtr(i));
   }
   return out;
 }

@@ -15,6 +15,7 @@
 #include "linalg/matrix.h"
 #include "linalg/pca.h"
 #include "linalg/simd/kernels.h"
+#include "linalg/stats.h"
 
 namespace colscope::linalg {
 namespace {
@@ -108,6 +109,33 @@ TEST(RowSpanTest, AliasesRowStorageWithoutCopying) {
     EXPECT_EQ(span.data(), a.RowPtr(r));
     EXPECT_EQ(span.size(), a.cols());
   }
+}
+
+/// The composed whole-matrix reconstruction, Encode -> Decode ->
+/// RowwiseMse, that the row-streamed error body must reproduce.
+Vector ComposedReconstructionErrors(const PcaModel& pca, const Matrix& x) {
+  return RowwiseMse(x, pca.Decode(pca.Encode(x)));
+}
+
+TEST(PcaRowErrorsTest, RowOverloadIsBitIdenticalToComposedKernels) {
+  const Matrix train = RandomMatrix(10, 48, 0x70);
+  const Matrix x = RandomMatrix(9, 48, 0x71);
+  const auto pca = PcaModel::FitWithVariance(train, 0.8);
+  ASSERT_TRUE(pca.ok());
+  const Vector reference = ComposedReconstructionErrors(*pca, x);
+  // The whole-matrix overload is the row body over every row.
+  EXPECT_EQ(pca->ReconstructionErrors(x), reference);
+  const std::vector<size_t> all = {0, 1, 2, 3, 4, 5, 6, 7, 8};
+  EXPECT_EQ(pca->ReconstructionErrors(x, all), reference);
+  // Unsorted and repeated rows: one output per listed row, each equal
+  // to that row's error in the full batch.
+  const std::vector<size_t> listed = {7, 2, 2, 8, 0, 7};
+  const Vector errors = pca->ReconstructionErrors(x, listed);
+  ASSERT_EQ(errors.size(), listed.size());
+  for (size_t i = 0; i < listed.size(); ++i) {
+    EXPECT_EQ(errors[i], reference[listed[i]]) << "listed row " << i;
+  }
+  EXPECT_TRUE(pca->ReconstructionErrors(x, std::vector<size_t>{}).empty());
 }
 
 /// The Gram and covariance paths diagonalize different matrices, so

@@ -39,7 +39,7 @@ if [[ ! -d "$BUILD_DIR" ]]; then
   cmake -B "$BUILD_DIR" -S . >/dev/null
 fi
 cmake --build "$BUILD_DIR" --target linalg_kernels cache_warm_vs_cold \
-  server_load corpus_scale -j "$(nproc)" >/dev/null
+  server_load corpus_scale pipeline_phases -j "$(nproc)" >/dev/null
 
 SMOKE_FLAG=()
 if [[ "$SMOKE" -eq 1 ]]; then SMOKE_FLAG=(--smoke); fi
@@ -47,6 +47,7 @@ if [[ "$SMOKE" -eq 1 ]]; then SMOKE_FLAG=(--smoke); fi
 "$BUILD_DIR/bench/cache_warm_vs_cold" "${SMOKE_FLAG[@]}" --out "$OUT"
 "$BUILD_DIR/bench/server_load" "${SMOKE_FLAG[@]}" --out "$OUT"
 "$BUILD_DIR/bench/corpus_scale" "${SMOKE_FLAG[@]}" --out "$OUT"
+"$BUILD_DIR/bench/pipeline_phases" "${SMOKE_FLAG[@]}" --out "$OUT"
 
 # Gate against the committed baselines unless this run just rewrote
 # them. The cache gate runs looser than the kernel gate: whole-pipeline
@@ -79,6 +80,16 @@ fi
 # only in the full baseline, so PR smoke runs never gate on wall time.
 BASELINE="$BASELINE_DIR/BENCH_corpus_scale.json"
 CURRENT="$OUT/BENCH_corpus_scale.json"
+if [[ -f "$BASELINE" && "$BASELINE" != "$CURRENT" ]]; then
+  python3 tools/check_bench_regression.py \
+    --baseline "$BASELINE" --current "$CURRENT" --tolerance 0.5
+fi
+
+# The pipeline-phase gate checks byte-identity, the exhaustive-reference
+# keep mask and the exact pass counter everywhere; its timing ratio
+# (early_exit_speedup) exists only in the full baseline.
+BASELINE="$BASELINE_DIR/BENCH_pipeline_phases.json"
+CURRENT="$OUT/BENCH_pipeline_phases.json"
 if [[ -f "$BASELINE" && "$BASELINE" != "$CURRENT" ]]; then
   python3 tools/check_bench_regression.py \
     --baseline "$BASELINE" --current "$CURRENT" --tolerance 0.5
