@@ -215,6 +215,7 @@ CacheKey PipelineCache::ModelKey(size_t schema,
       .AddHex("base", base_fp_)
       .AddHex("src", source_fps_[schema])
       .AddText("ev", StrFormat("%.17g", explained_variance))
+      .AddText("fit", StrFormat("%d", scoping::kLocalModelFitRevision))
       .Build();
 }
 

@@ -33,7 +33,8 @@ namespace colscope::cache {
 ///             attribute, type, or constraint is a miss for that source
 ///             only.
 ///   model     per source: the fitted phase-II local PCA model. Key: the
-///             source's content + the explained-variance target.
+///             source's content + the explained-variance target + the
+///             fit revision (scoping::kLocalModelFitRevision).
 ///   keep      per source: the phase-III keep-mask slice. Key: the
 ///             source's content + the full fitted model set + the
 ///             semantic pipeline options — editing any source refreshes

@@ -12,9 +12,12 @@ EigenDecomposition JacobiEigenSymmetric(const Matrix& a, double tolerance,
   COLSCOPE_CHECK(a.cols() == n);
 
   Matrix m = a;           // Working copy, driven to diagonal form.
-  Matrix v(n, n, 0.0);    // Accumulated rotations (columns = eigenvectors).
-  for (size_t i = 0; i < n; ++i) v(i, i) = 1.0;
+  Matrix vt(n, n, 0.0);   // Accumulated rotations (rows = eigenvectors).
+  for (size_t i = 0; i < n; ++i) vt(i, i) = 1.0;
 
+  // Exact upper-triangle off-diagonal sum of squares, rescanned before
+  // every sweep: O(n^2) against the sweep's O(n^3) rotations, and free
+  // of the roundoff drift a running tally accumulates.
   auto exact_off2 = [&]() {
     double sum = 0.0;
     for (size_t i = 0; i < n; ++i)
@@ -22,25 +25,14 @@ EigenDecomposition JacobiEigenSymmetric(const Matrix& a, double tolerance,
     return sum;
   };
 
-  // Squared upper-triangle off-diagonal norm, maintained incrementally:
-  // a Jacobi rotation annihilates m(p, q) and preserves the Frobenius
-  // norm, so the (upper-triangle) off-diagonal sum of squares drops by
-  // exactly apq^2 in exact arithmetic. This replaces the O(n^2) rescan
-  // per sweep; roundoff drift is bounded by re-deriving the exact sum
-  // before trusting a convergence verdict.
-  double off2 = exact_off2();
   const double tol2 = tolerance * tolerance;
-
-  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
-    if (off2 <= tol2) {
-      off2 = exact_off2();  // Confirm: the running value may have drifted.
-      if (off2 <= tol2) break;
-    }
+  double off2 = exact_off2();
+  int sweep = 0;
+  for (; sweep < max_sweeps && off2 > tol2; ++sweep) {
     for (size_t p = 0; p + 1 < n; ++p) {
       for (size_t q = p + 1; q < n; ++q) {
         const double apq = m(p, q);
         if (std::fabs(apq) < 1e-300) continue;
-        off2 = std::max(0.0, off2 - apq * apq);
         const double app = m(p, p);
         const double aqq = m(q, q);
         const double tau = (aqq - app) / (2.0 * apq);
@@ -63,15 +55,18 @@ EigenDecomposition JacobiEigenSymmetric(const Matrix& a, double tolerance,
           m(p, k) = c * mpk - s * mqk;
           m(q, k) = s * mpk + c * mqk;
         }
-        // Accumulate into eigenvector matrix (columns).
+        // Accumulate into the eigenvector rows (contiguous).
+        double* vp = vt.RowPtr(p);
+        double* vq = vt.RowPtr(q);
         for (size_t k = 0; k < n; ++k) {
-          const double vkp = v(k, p);
-          const double vkq = v(k, q);
-          v(k, p) = c * vkp - s * vkq;
-          v(k, q) = s * vkp + c * vkq;
+          const double vpk = vp[k];
+          const double vqk = vq[k];
+          vp[k] = c * vpk - s * vqk;
+          vq[k] = s * vpk + c * vqk;
         }
       }
     }
+    off2 = exact_off2();
   }
 
   // Extract, sort descending by eigenvalue.
@@ -85,9 +80,11 @@ EigenDecomposition JacobiEigenSymmetric(const Matrix& a, double tolerance,
   EigenDecomposition out;
   out.values.resize(n);
   out.vectors = Matrix(n, n);
+  out.sweeps = sweep;
+  out.off_diagonal2 = off2;
   for (size_t i = 0; i < n; ++i) {
     out.values[i] = diag[order[i]];
-    for (size_t k = 0; k < n; ++k) out.vectors(i, k) = v(k, order[i]);
+    std::copy_n(vt.RowPtr(order[i]), n, out.vectors.RowPtr(i));
   }
   return out;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <thread>
 
 namespace colscope::obs {
 
@@ -26,16 +27,24 @@ FlightRecorder& FlightRecorder::Global() {
   return *recorder;
 }
 
+void FlightRecorder::Slot::Lock() const {
+  while (busy.test_and_set(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+}
+
 void FlightRecorder::Record(std::string_view kind, std::string_view detail) {
   const uint64_t ticket = next_.fetch_add(1, std::memory_order_relaxed) + 1;
   Slot& slot = slots_[(ticket - 1) % capacity_];
-  // Invalidate first so a concurrent Snapshot never pairs the new bytes
-  // with the old ticket (or vice versa): any reader that saw the slot
-  // committed must re-check after copying and discard on mismatch.
-  slot.committed.store(0, std::memory_order_release);
-  CopyTruncated(slot.kind, kMaxKindBytes, kind);
-  CopyTruncated(slot.detail, kMaxDetailBytes, detail);
-  slot.committed.store(ticket, std::memory_order_release);
+  slot.Lock();
+  // A writer that lapped the ring may already have stored a newer event
+  // here; the ring keeps the newest, so this one is dropped.
+  if (slot.ticket < ticket) {
+    slot.ticket = ticket;
+    CopyTruncated(slot.kind, kMaxKindBytes, kind);
+    CopyTruncated(slot.detail, kMaxDetailBytes, detail);
+  }
+  slot.Unlock();
 }
 
 std::vector<FlightEvent> FlightRecorder::Snapshot() const {
@@ -45,22 +54,24 @@ std::vector<FlightEvent> FlightRecorder::Snapshot() const {
   events.reserve(high >= low ? static_cast<size_t>(high - low + 1) : 0);
   for (uint64_t ticket = low; ticket <= high; ++ticket) {
     const Slot& slot = slots_[(ticket - 1) % capacity_];
-    if (slot.committed.load(std::memory_order_acquire) != ticket) continue;
-    FlightEvent event;
-    event.seq = ticket;
-    event.kind = slot.kind;
-    event.detail = slot.detail;
-    // A writer may have lapped us mid-copy; only keep the event if the
-    // slot still holds this ticket, i.e. the bytes we read were stable.
-    if (slot.committed.load(std::memory_order_acquire) != ticket) continue;
-    events.push_back(std::move(event));
+    // Copy out under the lock, allocate after releasing it.
+    char kind[kMaxKindBytes + 1];
+    char detail[kMaxDetailBytes + 1];
+    slot.Lock();
+    const bool live = slot.ticket == ticket;
+    if (live) {
+      std::memcpy(kind, slot.kind, sizeof(kind));
+      std::memcpy(detail, slot.detail, sizeof(detail));
+    }
+    slot.Unlock();
+    if (live) events.push_back(FlightEvent{ticket, kind, detail});
   }
   return events;
 }
 
 void FlightRecorder::Clear() {
   for (size_t i = 0; i < capacity_; ++i) {
-    slots_[i].committed.store(0, std::memory_order_relaxed);
+    slots_[i].ticket = 0;
     slots_[i].kind[0] = '\0';
     slots_[i].detail[0] = '\0';
   }

@@ -21,13 +21,15 @@ struct FlightEvent {
   std::string detail;
 };
 
-/// Bounded lock-free ring holding the last N RPC/fault/retry events of
-/// this process — the "what was everyone doing right before it died"
-/// record dumped into the degradation report on crash, quorum loss, or
-/// deadline. Writers claim a ticket with one fetch_add and publish
-/// their slot with a release store; no locks, no allocation, so it is
-/// safe to call from any hot path or connection handler. Readers
-/// (Snapshot) skip slots that are mid-overwrite instead of blocking.
+/// Bounded ring holding the last N RPC/fault/retry events of this
+/// process — the "what was everyone doing right before it died" record
+/// dumped into the degradation report on crash, quorum loss, or
+/// deadline. Writers claim a ticket with one fetch_add and fill their
+/// slot under that slot's spin lock, held only for two bounded byte
+/// copies; no allocation and no shared lock, so it is safe to call from
+/// any hot path or connection handler. The per-slot lock makes two
+/// writers that lap the ring onto one slot, or a writer and a reader,
+/// take turns instead of racing; the slot keeps the newer ticket.
 class FlightRecorder {
  public:
   static constexpr size_t kDefaultCapacity = 256;
@@ -47,8 +49,8 @@ class FlightRecorder {
   /// Appends an event, overwriting the oldest once the ring is full.
   void Record(std::string_view kind, std::string_view detail);
 
-  /// The surviving events in sequence order (oldest first). Slots being
-  /// concurrently rewritten are skipped, never torn.
+  /// The surviving events in sequence order (oldest first). Slots
+  /// overwritten by a newer ticket are skipped, never torn.
   std::vector<FlightEvent> Snapshot() const;
 
   /// Number of events ever recorded (not just those still in the ring).
@@ -62,11 +64,15 @@ class FlightRecorder {
 
  private:
   struct Slot {
-    /// 0 while empty or being written; the ticket number once the
-    /// kind/detail bytes are fully published.
-    std::atomic<uint64_t> committed{0};
+    /// Guards every field below.
+    mutable std::atomic_flag busy;
+    /// Ticket of the event held in kind/detail; 0 while empty.
+    uint64_t ticket = 0;
     char kind[kMaxKindBytes + 1];
     char detail[kMaxDetailBytes + 1];
+
+    void Lock() const;
+    void Unlock() const { busy.clear(std::memory_order_release); }
   };
 
   const size_t capacity_;

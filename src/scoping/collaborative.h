@@ -197,6 +197,14 @@ Result<std::vector<bool>> AssessLinkabilityDegraded(
 Result<std::vector<bool>> CollaborativeScoping(const SignatureSet& signatures,
                                                size_t num_schemas, double v);
 
+/// Revision of the phase-II fit (centering, PCA, and the Jacobi
+/// eigensolver under it). Bump it whenever a change alters the bits of
+/// fitted models: persisted caches key models by it, so a cache filled
+/// by an earlier fit refits instead of mixing models from two fits.
+/// Revision 2: the eigensolver stops on an exact per-sweep convergence
+/// test (revision 1's running tally could stall solves at the cap).
+inline constexpr int kLocalModelFitRevision = 2;
+
 /// Phase II for the schemas listed in `schemas`: fits one local model
 /// per schema at explained variance `v`, returned in the order of
 /// `schemas`. The paper observes that "the computation of the

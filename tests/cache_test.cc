@@ -9,12 +9,14 @@
 
 #include "cache/pipeline_cache.h"
 #include "common/checksum.h"
+#include "datasets/synthetic_corpus.h"
 #include "datasets/toy.h"
 #include "embed/hashed_encoder.h"
 #include "matching/sim.h"
 #include "obs/metrics.h"
 #include "pipeline/pipeline.h"
 #include "schema/fingerprint.h"
+#include "scoping/model_io.h"
 
 namespace colscope::cache {
 namespace {
@@ -349,6 +351,32 @@ TEST_F(PipelineCacheTest, ChangingVarianceOverOneCacheMatchesColdRun) {
             warm.signatures.signatures.data());
   EXPECT_EQ(cold.keep, warm.keep);
   EXPECT_EQ(cold.linkages, warm.linkages);
+}
+
+TEST_F(PipelineCacheTest, RestoredWideModelsMatchAColdFitByteForByte) {
+  // corpus_wide's shape: 144 signature rows per source, the size at
+  // which the eigensolver's convergence test decides the fitted bits.
+  datasets::CorpusOptions corpus;
+  corpus.num_schemas = 4;
+  corpus.tables_per_schema = 16;
+  corpus.attrs_per_table = 8;
+  corpus.seed = 1;
+  const schema::SchemaSet set = datasets::BuildCorpusScenario(corpus).set;
+
+  ScratchDir dir("pipeline_wide_models");
+  RunWith(set, dir.path(), nullptr, /*threads=*/4);
+  obs::MetricsRegistry warm_metrics;
+  const pipeline::PipelineRun warm = RunWith(set, dir.path(), &warm_metrics);
+  EXPECT_EQ(CounterValue(warm_metrics, "cache.misses"), 0u);
+  const pipeline::PipelineRun cold = RunWith(set, "", nullptr);
+
+  ASSERT_EQ(warm.local_models.size(), 4u);
+  ASSERT_EQ(cold.local_models.size(), 4u);
+  for (size_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(scoping::SerializeLocalModel(warm.local_models[s]),
+              scoping::SerializeLocalModel(cold.local_models[s]))
+        << "source " << s;
+  }
 }
 
 }  // namespace

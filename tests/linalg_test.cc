@@ -171,6 +171,44 @@ TEST(EigenTest, EigenvectorsOrthonormal) {
   }
 }
 
+TEST(EigenTest, ConvergesWithoutHittingTheSweepCap) {
+  // Row Grams of column-centered random n x 768 signatures, the shape
+  // phase II hands the solver. A running off-diagonal tally freezes near
+  // eps * off2(A) and stalls such solves at the sweep cap; the exact
+  // per-sweep test stops them within a handful of sweeps.
+  const size_t d = 768;
+  const double tolerance = 1e-12;
+  for (size_t n : {24, 48, 96, 144}) {
+    for (uint64_t trial = 0; trial < 16; ++trial) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " trial=" << trial);
+      Matrix x = RandomMatrix(n, d, 1000 * n + trial);
+      for (size_t c = 0; c < d; ++c) {
+        double mean = 0.0;
+        for (size_t r = 0; r < n; ++r) mean += x(r, c);
+        mean /= static_cast<double>(n);
+        for (size_t r = 0; r < n; ++r) x(r, c) -= mean;
+      }
+      Matrix gram(n, n);
+      for (size_t i = 0; i < n; ++i)
+        for (size_t j = 0; j < n; ++j)
+          gram(i, j) = Dot(x.RowSpan(i), x.RowSpan(j));
+
+      EigenDecomposition e = JacobiEigenSymmetric(gram, tolerance);
+      EXPECT_LE(e.sweeps, 12);
+      EXPECT_LE(e.off_diagonal2, tolerance * tolerance);
+      // Rebuild A = V^T diag(values) V with vectors as rows.
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t j = 0; j < n; ++j) {
+          double sum = 0.0;
+          for (size_t k = 0; k < n; ++k)
+            sum += e.vectors(k, i) * e.values[k] * e.vectors(k, j);
+          ASSERT_NEAR(sum, gram(i, j), 1e-8);
+        }
+      }
+    }
+  }
+}
+
 // --- SVD ---------------------------------------------------------------------------
 
 TEST(SvdTest, ReconstructsWideMatrix) {
