@@ -16,12 +16,7 @@ std::vector<size_t> RecordSignatureSet::RowsOfSource(int source) const {
 }
 
 linalg::Matrix RecordSignatureSet::SourceSignatures(int source) const {
-  const std::vector<size_t> rows = RowsOfSource(source);
-  linalg::Matrix out(rows.size(), signatures.cols());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    out.SetRow(i, signatures.Row(rows[i]));
-  }
-  return out;
+  return linalg::GatherRows(signatures, RowsOfSource(source));
 }
 
 RecordSignatureSet BuildRecordSignatures(
@@ -80,16 +75,13 @@ std::set<RecordPair> BlockTopK(const RecordSignatureSet& signatures,
   for (int target = 0; target <= max_source; ++target) {
     const auto& target_rows = source_rows[target];
     if (target_rows.empty()) continue;
-    linalg::Matrix vectors(target_rows.size(), signatures.signatures.cols());
-    for (size_t i = 0; i < target_rows.size(); ++i) {
-      vectors.SetRow(i, signatures.signatures.Row(target_rows[i]));
-    }
-    const matching::FlatL2Index index(std::move(vectors));
+    const matching::FlatL2Index index(
+        linalg::GatherRows(signatures.signatures, target_rows));
     for (int source = 0; source <= max_source; ++source) {
       if (source == target) continue;
       for (size_t query_row : source_rows[source]) {
         for (size_t hit :
-             index.Search(signatures.signatures.Row(query_row), top_k)) {
+             index.Search(signatures.signatures.RowSpan(query_row), top_k)) {
           RecordRef a = signatures.refs[query_row];
           RecordRef b = signatures.refs[target_rows[hit]];
           if (b < a) std::swap(a, b);

@@ -79,13 +79,10 @@ EigenDecomposition JacobiEigenSymmetric(const Matrix& a, double tolerance,
 
   EigenDecomposition out;
   out.values.resize(n);
-  out.vectors = Matrix(n, n);
   out.sweeps = sweep;
   out.off_diagonal2 = off2;
-  for (size_t i = 0; i < n; ++i) {
-    out.values[i] = diag[order[i]];
-    std::copy_n(vt.RowPtr(order[i]), n, out.vectors.RowPtr(i));
-  }
+  for (size_t i = 0; i < n; ++i) out.values[i] = diag[order[i]];
+  out.vectors = GatherRows(vt, order);
   return out;
 }
 

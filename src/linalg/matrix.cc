@@ -97,4 +97,13 @@ Vector Matrix::MultiplyVector(const Vector& v) const {
   return out;
 }
 
+Matrix GatherRows(const Matrix& m, std::span<const size_t> rows) {
+  Matrix out(rows.size(), m.cols());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    COLSCOPE_CHECK(rows[i] < m.rows());
+    std::copy_n(m.RowPtr(rows[i]), m.cols(), out.RowPtr(i));
+  }
+  return out;
+}
+
 }  // namespace colscope::linalg

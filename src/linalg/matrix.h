@@ -93,6 +93,11 @@ class Matrix {
   AlignedBuffer data_;
 };
 
+/// Copies the listed rows of `m`, in list order, into a new
+/// (rows.size() x m.cols()) matrix. Rows may repeat and come in any
+/// order; every id must be < m.rows().
+Matrix GatherRows(const Matrix& m, std::span<const size_t> rows);
+
 }  // namespace colscope::linalg
 
 #endif  // COLSCOPE_LINALG_MATRIX_H_

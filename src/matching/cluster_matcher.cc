@@ -31,10 +31,8 @@ std::set<ElementPair> ClusterMatcher::Match(
       }
       if (rows.size() < 2) continue;
 
-      linalg::Matrix points(rows.size(), signatures.signatures.cols());
-      for (size_t i = 0; i < rows.size(); ++i) {
-        points.SetRow(i, signatures.signatures.Row(rows[i]));
-      }
+      const linalg::Matrix points =
+          linalg::GatherRows(signatures.signatures, rows);
       KMeansOptions options;
       options.k = k_ > 0 ? k_
                          : SilhouetteBestK(points, 2,

@@ -3,66 +3,67 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <utility>
 
 #include "common/rng.h"
 #include "linalg/stats.h"
 
 namespace colscope::matching {
 
+std::vector<size_t> RankNearest(const linalg::Matrix& vectors,
+                                std::span<const size_t> candidates,
+                                std::span<const double> query, size_t k,
+                                const embed::QuantizedSignatureStore* store,
+                                size_t rescore_factor) {
+  const size_t keep = std::min(k, candidates.size());
+  // (distance, id) pairs: pair order is exactly the (distance, id)
+  // tie-break, so the ranking does not depend on the candidate order.
+  std::vector<std::pair<double, size_t>> ranked;
+  ranked.reserve(candidates.size());
+  if (store != nullptr && keep < candidates.size()) {
+    const embed::QuantizedQuery q = store->Quantize(query);
+    for (size_t id : candidates) {
+      ranked.emplace_back(
+          store->ApproxSquaredL2(id, q.codes.data(), q.scale, q.norm2), id);
+    }
+    const size_t pool_size = std::min(
+        ranked.size(), keep * std::max<size_t>(rescore_factor, 1));
+    std::partial_sort(ranked.begin(),
+                      ranked.begin() + static_cast<long>(pool_size),
+                      ranked.end());
+    ranked.resize(pool_size);
+    for (auto& [distance, id] : ranked) {
+      distance = linalg::SquaredL2Distance(vectors.RowSpan(id), query);
+    }
+  } else {
+    for (size_t id : candidates) {
+      ranked.emplace_back(
+          linalg::SquaredL2Distance(vectors.RowSpan(id), query), id);
+    }
+  }
+  std::partial_sort(ranked.begin(), ranked.begin() + static_cast<long>(keep),
+                    ranked.end());
+  std::vector<size_t> out;
+  out.reserve(keep);
+  for (size_t i = 0; i < keep; ++i) out.push_back(ranked[i].second);
+  return out;
+}
+
 FlatL2Index::FlatL2Index(linalg::Matrix vectors)
     : FlatL2Index(std::move(vectors), Options()) {}
 
 FlatL2Index::FlatL2Index(linalg::Matrix vectors, Options options)
-    : vectors_(std::move(vectors)), options_(options) {
+    : vectors_(std::move(vectors)), options_(options), ids_(vectors_.rows()) {
+  std::iota(ids_.begin(), ids_.end(), 0);
   if (options_.quantized) {
     store_ = std::make_unique<embed::QuantizedSignatureStore>(vectors_);
   }
 }
 
-std::vector<size_t> FlatL2Index::Search(const linalg::Vector& query,
+std::vector<size_t> FlatL2Index::Search(std::span<const double> query,
                                         size_t k) const {
-  const size_t n = vectors_.rows();
-  const size_t keep = std::min(k, n);
-
-  // Candidate pool: everything in exact mode; the approximate top
-  // k * rescore_factor in quantized mode. Either way the *final* order
-  // comes from exact double-precision distances with the same
-  // (distance, id) tie-break, so quantization can only affect which
-  // candidates reach the exact rescoring, never how they are ranked.
-  std::vector<size_t> pool(n);
-  std::iota(pool.begin(), pool.end(), 0);
-  if (store_ != nullptr && keep < n) {
-    const embed::QuantizedQuery q = store_->Quantize(query);
-    std::vector<double> approx(n);
-    for (size_t i = 0; i < n; ++i) {
-      approx[i] = store_->ApproxSquaredL2(i, q.codes.data(), q.scale, q.norm2);
-    }
-    const size_t pool_size =
-        std::min(n, std::max(keep, keep * std::max<size_t>(
-                                        options_.rescore_factor, 1)));
-    std::partial_sort(pool.begin(), pool.begin() + static_cast<long>(pool_size),
-                      pool.end(), [&](size_t a, size_t b) {
-                        if (approx[a] != approx[b]) return approx[a] < approx[b];
-                        return a < b;
-                      });
-    pool.resize(pool_size);
-  }
-
-  std::vector<double> dist(pool.size());
-  for (size_t i = 0; i < pool.size(); ++i) {
-    dist[i] = linalg::SquaredL2Distance(vectors_.RowSpan(pool[i]), query);
-  }
-  std::vector<size_t> order(pool.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::partial_sort(order.begin(), order.begin() + static_cast<long>(keep),
-                    order.end(), [&](size_t a, size_t b) {
-                      if (dist[a] != dist[b]) return dist[a] < dist[b];
-                      return pool[a] < pool[b];
-                    });
-  std::vector<size_t> out;
-  out.reserve(keep);
-  for (size_t i = 0; i < keep; ++i) out.push_back(pool[order[i]]);
-  return out;
+  return RankNearest(vectors_, ids_, query, k, store_.get(),
+                     options_.rescore_factor);
 }
 
 RandomHyperplaneLsh::RandomHyperplaneLsh(linalg::Matrix vectors,
@@ -81,13 +82,13 @@ RandomHyperplaneLsh::RandomHyperplaneLsh(linalg::Matrix vectors,
     auto& bucket = buckets_[t];
     bucket.reserve(vectors_.rows());
     for (size_t i = 0; i < vectors_.rows(); ++i) {
-      bucket.emplace_back(HashVector(vectors_.Row(i), t), i);
+      bucket.emplace_back(HashVector(vectors_.RowSpan(i), t), i);
     }
     std::sort(bucket.begin(), bucket.end());
   }
 }
 
-uint64_t RandomHyperplaneLsh::HashVector(const linalg::Vector& v,
+uint64_t RandomHyperplaneLsh::HashVector(std::span<const double> v,
                                          size_t table) const {
   const linalg::Matrix& planes = hyperplanes_[table];
   uint64_t hash = 0;
@@ -100,8 +101,8 @@ uint64_t RandomHyperplaneLsh::HashVector(const linalg::Vector& v,
   return hash;
 }
 
-std::vector<size_t> RandomHyperplaneLsh::Search(const linalg::Vector& query,
-                                                size_t k) const {
+std::vector<size_t> RandomHyperplaneLsh::Search(
+    std::span<const double> query, size_t k) const {
   std::set<size_t> candidates;
   for (size_t t = 0; t < options_.num_tables; ++t) {
     const uint64_t hash = HashVector(query, t);
@@ -116,23 +117,9 @@ std::vector<size_t> RandomHyperplaneLsh::Search(const linalg::Vector& query,
     // Too few collisions: degrade to exact search for stable recall.
     for (size_t i = 0; i < vectors_.rows(); ++i) candidates.insert(i);
   }
-  std::vector<size_t> ids(candidates.begin(), candidates.end());
-  std::vector<double> dist(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    dist[i] = linalg::SquaredL2Distance(vectors_.RowSpan(ids[i]), query);
-  }
-  std::vector<size_t> order(ids.size());
-  std::iota(order.begin(), order.end(), 0);
-  const size_t keep = std::min(k, ids.size());
-  std::partial_sort(order.begin(), order.begin() + static_cast<long>(keep),
-                    order.end(), [&](size_t a, size_t b) {
-                      if (dist[a] != dist[b]) return dist[a] < dist[b];
-                      return ids[a] < ids[b];
-                    });
-  std::vector<size_t> out;
-  out.reserve(keep);
-  for (size_t i = 0; i < keep; ++i) out.push_back(ids[order[i]]);
-  return out;
+  const std::vector<size_t> ids(candidates.begin(), candidates.end());
+  return RankNearest(vectors_, ids, query, k, /*store=*/nullptr,
+                     /*rescore_factor=*/1);
 }
 
 }  // namespace colscope::matching

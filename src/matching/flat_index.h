@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "embed/quantized_store.h"
@@ -10,16 +11,32 @@
 
 namespace colscope::matching {
 
+/// The one k-NN ranking every index in this library shares (FlatL2Index,
+/// IvfIndex, RandomHyperplaneLsh): the ids of the min(k, |candidates|)
+/// `candidates` (distinct row ids of `vectors`, in any order) nearest to
+/// `query`, ordered by (exact squared L2 distance, id) — equal distances
+/// rank the lower id first.
+///
+/// With a non-null `store` (an int8 QuantizedSignatureStore over the same
+/// rows) and more candidates than k, an approximate prescan first keeps
+/// the k * max(rescore_factor, 1) candidates with the smallest
+/// (approximate distance, id); only those are rescored exactly. The final
+/// order always comes from the exact double-precision distances, so
+/// quantization can only affect which candidates reach the rescoring,
+/// never how they rank.
+std::vector<size_t> RankNearest(const linalg::Matrix& vectors,
+                                std::span<const size_t> candidates,
+                                std::span<const double> query, size_t k,
+                                const embed::QuantizedSignatureStore* store,
+                                size_t rescore_factor);
+
 /// Exact L2 nearest-neighbour index over a fixed set of vectors — the
 /// equivalent of FAISS IndexFlatL2 that the paper's "LSH" matcher builds
-/// per schema (Section 4.1). Brute-force search; exact by construction.
+/// per schema (Section 4.1). Brute-force search: RankNearest over every
+/// row; exact by construction.
 ///
-/// With `Options::quantized` the scan runs over an int8
-/// QuantizedSignatureStore instead of the double matrix: candidates are
-/// ranked by approximate distance, the top `k * rescore_factor` are
-/// rescored with the exact double kernels, and the final top-k order is
-/// decided purely by those exact distances. Opt-in (`--quantized`); the
-/// default remains byte-for-byte the exact scan.
+/// With `Options::quantized` the scan runs RankNearest's int8 prescan
+/// (`--quantized`); the default remains byte-for-byte the exact scan.
 class FlatL2Index {
  public:
   struct Options {
@@ -36,7 +53,7 @@ class FlatL2Index {
 
   /// Ids (row indices) of the `k` nearest vectors to `query`, closest
   /// first; fewer if the index holds fewer than k vectors.
-  std::vector<size_t> Search(const linalg::Vector& query, size_t k) const;
+  std::vector<size_t> Search(std::span<const double> query, size_t k) const;
 
   size_t size() const { return vectors_.rows(); }
   bool quantized() const { return store_ != nullptr; }
@@ -44,14 +61,16 @@ class FlatL2Index {
  private:
   linalg::Matrix vectors_;
   Options options_;
+  /// 0..size()-1: every row is a candidate.
+  std::vector<size_t> ids_;
   /// Present only in quantized mode.
   std::unique_ptr<embed::QuantizedSignatureStore> store_;
 };
 
 /// A genuine locality-sensitive-hashing index using random-hyperplane
 /// signatures (SimHash) with multi-probe verification: candidates are
-/// collected from hash buckets across `num_tables` tables and re-ranked
-/// by exact L2 distance. Approximate — recall depends on the
+/// collected from hash buckets across `num_tables` tables and ranked by
+/// RankNearest (exact, no prescan). Approximate — recall depends on the
 /// bits/tables configuration. Provided as the extension the library
 /// offers beyond the paper's exact flat search.
 class RandomHyperplaneLsh {
@@ -66,12 +85,12 @@ class RandomHyperplaneLsh {
 
   /// Approximate top-k by L2 among hash-bucket candidates; falls back to
   /// scanning everything when the buckets yield fewer than k candidates.
-  std::vector<size_t> Search(const linalg::Vector& query, size_t k) const;
+  std::vector<size_t> Search(std::span<const double> query, size_t k) const;
 
   size_t size() const { return vectors_.rows(); }
 
  private:
-  uint64_t HashVector(const linalg::Vector& v, size_t table) const;
+  uint64_t HashVector(std::span<const double> v, size_t table) const;
 
   linalg::Matrix vectors_;
   Options options_;

@@ -9,6 +9,7 @@
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "linalg/stats.h"
+#include "matching/flat_index.h"
 #include "matching/kmeans.h"
 #include "matching/token_blocking.h"
 
@@ -113,44 +114,8 @@ std::vector<size_t> IvfIndex::Search(std::span<const double> query,
 std::vector<size_t> IvfIndex::Search(std::span<const double> query, size_t k,
                                      size_t nprobe) const {
   if (vectors_.rows() == 0 || k == 0) return {};
-  std::vector<size_t> pool = Probe(query, k, nprobe);
-  const size_t keep = std::min(k, pool.size());
-
-  // Quantized prescan: rank the probed rows by approximate distance and
-  // keep k * rescore_factor of them for exact rescoring — same contract
-  // as FlatL2Index, scoped to the probed cells.
-  if (store_ != nullptr && keep < pool.size()) {
-    const embed::QuantizedQuery q = store_->Quantize(query);
-    std::vector<std::pair<double, size_t>> ranked;
-    ranked.reserve(pool.size());
-    for (size_t id : pool) {
-      ranked.emplace_back(
-          store_->ApproxSquaredL2(id, q.codes.data(), q.scale, q.norm2), id);
-    }
-    const size_t pool_size = std::min(
-        ranked.size(),
-        std::max(keep, keep * std::max<size_t>(options_.rescore_factor, 1)));
-    std::partial_sort(ranked.begin(),
-                      ranked.begin() + static_cast<long>(pool_size),
-                      ranked.end());
-    pool.clear();
-    for (size_t i = 0; i < pool_size; ++i) pool.push_back(ranked[i].second);
-  }
-
-  // Exact rescore with the (distance, id) tie-break deciding the final
-  // order — identical ranking semantics to FlatL2Index::Search.
-  std::vector<std::pair<double, size_t>> exact;
-  exact.reserve(pool.size());
-  for (size_t id : pool) {
-    exact.emplace_back(linalg::SquaredL2Distance(vectors_.RowSpan(id), query),
-                       id);
-  }
-  std::partial_sort(exact.begin(), exact.begin() + static_cast<long>(keep),
-                    exact.end());
-  std::vector<size_t> out;
-  out.reserve(keep);
-  for (size_t i = 0; i < keep; ++i) out.push_back(exact[i].second);
-  return out;
+  return RankNearest(vectors_, Probe(query, k, nprobe), query, k,
+                     store_.get(), options_.rescore_factor);
 }
 
 size_t IvfIndex::ProbedRows(std::span<const double> query, size_t k,
@@ -174,18 +139,13 @@ std::set<ElementPair> IvfMatcher::Match(
   }
   if (rows.size() < 2) return {};
 
-  const size_t cols = signatures.signatures.cols();
-  linalg::Matrix subset(rows.size(), cols);
-  for (size_t r = 0; r < rows.size(); ++r) {
-    std::copy_n(signatures.signatures.RowPtr(rows[r]), cols,
-                subset.RowPtr(r));
-  }
   IvfIndex::Options index_options;
   index_options.num_lists = options_.num_lists;
   index_options.nprobe = options_.nprobe;
   index_options.quantized = options_.quantized;
   index_options.seed = options_.seed;
-  const IvfIndex index(std::move(subset), index_options);
+  const IvfIndex index(linalg::GatherRows(signatures.signatures, rows),
+                       index_options);
 
   std::set<std::pair<size_t, size_t>> allowed;
   if (options_.token_prefilter) {

@@ -30,12 +30,9 @@ namespace colscope::matching {
 /// probed cells hold fewer than k rows, so Search never silently
 /// returns short results on skewed partitions.
 ///
-/// With `Options::quantized` each probed cell is prescanned with the
-/// int8 QuantizedSignatureStore: candidates are ranked by approximate
-/// distance, the top k * rescore_factor survivors are rescored exactly,
-/// and the final order is decided purely by exact double-precision
-/// distances with the (distance, id) tie-break — quantization affects
-/// which rows reach the rescoring, never how they rank.
+/// The probed rows are ranked by RankNearest (matching/flat_index.h),
+/// the ranking FlatL2Index uses: (exact distance, id) order, and with
+/// `Options::quantized` its int8 prescan to k * rescore_factor rows.
 ///
 /// Deterministic: k-Means seeding, the centroid recomputation, every
 /// distance, and every tie-break are fixed by (vectors, Options), so

@@ -1,6 +1,8 @@
 #include "matching/lsh_matcher.h"
 
-#include <memory>
+#include <optional>
+#include <span>
+#include <utility>
 
 #include "common/strings.h"
 #include "matching/flat_index.h"
@@ -30,26 +32,26 @@ std::set<ElementPair> LshMatcher::Match(
   for (int target = 0; target <= max_schema; ++target) {
     const auto& target_rows = schema_rows[target];
     if (target_rows.empty()) continue;
-    linalg::Matrix target_vectors(target_rows.size(),
-                                  signatures.signatures.cols());
-    for (size_t i = 0; i < target_rows.size(); ++i) {
-      target_vectors.SetRow(i, signatures.signatures.Row(target_rows[i]));
-    }
-    const FlatL2Index flat(target_vectors,
-                           FlatL2Index::Options{.quantized = quantized_});
-    std::unique_ptr<RandomHyperplaneLsh> lsh;
+    linalg::Matrix target_vectors =
+        linalg::GatherRows(signatures.signatures, target_rows);
+    // Only the index this matcher searches is built.
+    std::optional<FlatL2Index> flat;
+    std::optional<RandomHyperplaneLsh> lsh;
     if (approximate_) {
-      lsh = std::make_unique<RandomHyperplaneLsh>(
-          target_vectors, RandomHyperplaneLsh::Options{});
+      lsh.emplace(std::move(target_vectors), RandomHyperplaneLsh::Options{});
+    } else {
+      flat.emplace(std::move(target_vectors),
+                   FlatL2Index::Options{.quantized = quantized_});
     }
 
     for (int source = 0; source <= max_schema; ++source) {
       if (source == target) continue;
       for (size_t query_row : schema_rows[source]) {
-        const linalg::Vector query = signatures.signatures.Row(query_row);
+        const std::span<const double> query =
+            signatures.signatures.RowSpan(query_row);
         const std::vector<size_t> hits =
             approximate_ ? lsh->Search(query, top_k_)
-                         : flat.Search(query, top_k_);
+                         : flat->Search(query, top_k_);
         for (size_t hit : hits) {
           const size_t hit_row = target_rows[hit];
           if (!IsCandidate(signatures, active, query_row, hit_row)) continue;

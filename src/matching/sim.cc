@@ -6,6 +6,22 @@
 
 namespace colscope::matching {
 
+namespace {
+
+/// The one per-pair decision of Match and MatchBlock: a cross-schema
+/// candidate whose signature cosine reaches `threshold`. The cosine is
+/// computed only for candidates.
+bool Links(const scoping::SignatureSet& signatures,
+           const std::vector<bool>& active, double threshold, size_t i,
+           size_t j) {
+  return IsCandidate(signatures, active, i, j) &&
+         linalg::CosineSimilarity(signatures.signatures.RowSpan(i),
+                                  signatures.signatures.RowSpan(j)) >=
+             threshold;
+}
+
+}  // namespace
+
 std::string SimMatcher::name() const {
   return StrFormat("SIM(%.1f)", threshold_);
 }
@@ -16,11 +32,7 @@ std::set<ElementPair> SimMatcher::Match(
   const size_t n = signatures.size();
   const auto row_matches = [&](size_t i, std::vector<ElementPair>& hits) {
     for (size_t j = i + 1; j < n; ++j) {
-      if (!IsCandidate(signatures, active, i, j)) continue;
-      const double sim =
-          linalg::CosineSimilarity(signatures.signatures.RowSpan(i),
-                                   signatures.signatures.RowSpan(j));
-      if (sim >= threshold_) {
+      if (Links(signatures, active, threshold_, i, j)) {
         hits.push_back(MakePair(signatures.refs[i], signatures.refs[j]));
       }
     }
@@ -47,19 +59,15 @@ std::string SimMatcher::BlockCacheId() const {
 std::set<ElementPair> SimMatcher::MatchBlock(
     const scoping::SignatureSet& signatures, const std::vector<bool>& active,
     int schema_a, int schema_b) const {
-  // The cross-schema candidate predicate plus the per-pair score are the
-  // same as Match(); restricting i to schema_a and j to schema_b covers
-  // exactly the pairs Match() produces between these two sources.
+  // The per-pair decision is Match()'s; restricting i to schema_a and j
+  // to schema_b covers exactly the pairs Match() produces between these
+  // two sources.
   std::set<ElementPair> out;
   const std::vector<size_t> rows_a = signatures.RowsOfSchema(schema_a);
   const std::vector<size_t> rows_b = signatures.RowsOfSchema(schema_b);
   for (size_t i : rows_a) {
     for (size_t j : rows_b) {
-      if (!IsCandidate(signatures, active, i, j)) continue;
-      const double sim =
-          linalg::CosineSimilarity(signatures.signatures.RowSpan(i),
-                                   signatures.signatures.RowSpan(j));
-      if (sim >= threshold_) {
+      if (Links(signatures, active, threshold_, i, j)) {
         out.insert(MakePair(signatures.refs[i], signatures.refs[j]));
       }
     }

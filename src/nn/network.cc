@@ -1,6 +1,9 @@
 #include "nn/network.h"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <vector>
 
 #include "common/check.h"
 
@@ -119,15 +122,12 @@ double Mlp::TrainEpoch(const linalg::Matrix& x, const linalg::Matrix& target,
   for (size_t start = 0; start < n; start += batch) {
     const size_t end = std::min(n, start + batch);
     const size_t bs = end - start;
-    linalg::Matrix xb(bs, x.cols());
-    linalg::Matrix tb(bs, target.cols());
-    for (size_t r = 0; r < bs; ++r) {
-      xb.SetRow(r, x.Row(start + r));
-      tb.SetRow(r, target.Row(start + r));
-    }
+    std::vector<size_t> rows(bs);
+    std::iota(rows.begin(), rows.end(), start);
+    const linalg::Matrix tb = linalg::GatherRows(target, rows);
 
     // Forward.
-    linalg::Matrix h = xb;
+    linalg::Matrix h = linalg::GatherRows(x, rows);
     for (DenseLayer& layer : layers_) h = layer.Forward(h);
 
     // MSE loss and gradient dL/dy = 2 (y - t) / (bs * dims).

@@ -46,13 +46,7 @@ linalg::Vector NeuralLocalModel::ReconstructionErrors(
 
 linalg::Vector NeuralLocalModel::ReconstructionErrors(
     const linalg::Matrix& signatures, std::span<const size_t> rows) const {
-  linalg::Matrix batch(rows.size(), signatures.cols());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    COLSCOPE_CHECK(rows[i] < signatures.rows());
-    std::copy_n(signatures.RowPtr(rows[i]), signatures.cols(),
-                batch.RowPtr(i));
-  }
-  return ReconstructionErrors(batch);
+  return ReconstructionErrors(linalg::GatherRows(signatures, rows));
 }
 
 double NeuralLocalModel::ReconstructionError(

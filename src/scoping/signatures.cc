@@ -1,7 +1,5 @@
 #include "scoping/signatures.h"
 
-#include <algorithm>
-
 #include "obs/trace.h"
 #include "schema/serialize.h"
 
@@ -16,12 +14,7 @@ std::vector<size_t> SignatureSet::RowsOfSchema(int schema_index) const {
 }
 
 linalg::Matrix SignatureSet::SchemaSignatures(int schema_index) const {
-  const std::vector<size_t> rows = RowsOfSchema(schema_index);
-  linalg::Matrix out(rows.size(), signatures.cols());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    std::copy_n(signatures.RowPtr(rows[i]), signatures.cols(), out.RowPtr(i));
-  }
-  return out;
+  return linalg::GatherRows(signatures, RowsOfSchema(schema_index));
 }
 
 SignatureSet BuildSignatures(const schema::SchemaSet& set,

@@ -1,17 +1,21 @@
-// Tests for the IVF index and matcher: exactness in the degenerate
-// configurations, the recall floor at the documented nprobe, sub-linear
-// probing, and determinism across runs and thread counts.
+// Tests for the IVF index and matcher: the (distance, id) tie-break all
+// three indexes share, exactness in the degenerate configurations, the
+// recall floor at the documented nprobe, sub-linear probing, and
+// determinism across runs and thread counts.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "datasets/synthetic_corpus.h"
 #include "embed/hashed_encoder.h"
+#include "linalg/stats.h"
 #include "matching/flat_index.h"
 #include "matching/ivf_index.h"
 #include "matching/token_blocking.h"
@@ -37,6 +41,57 @@ scoping::SignatureSet CorpusSignatures(size_t num_schemas,
   *scenario = datasets::BuildCorpusScenario(options);
   embed::HashedLexiconEncoder encoder;
   return scoping::BuildSignatures(scenario->set, encoder);
+}
+
+// Every index ranks through RankNearest: equal distances order by
+// ascending id, on the exact path and through the int8 prescan. The
+// matrix holds `kBase` distinct rows, each `kCopies` times: row r is
+// distinct row r % kBase, so every id at one distance is a tie.
+TEST(RankingTieBreakTest, EveryIndexReturnsTiedIdsAscending) {
+  constexpr size_t kBase = 6;
+  constexpr size_t kCopies = 4;
+  const linalg::Matrix distinct = RandomVectors(kBase, 16, 11);
+  std::vector<size_t> rows;
+  for (size_t r = 0; r < kBase * kCopies; ++r) rows.push_back(r % kBase);
+  const linalg::Matrix vectors = linalg::GatherRows(distinct, rows);
+  const std::span<const double> query = distinct.RowSpan(2);
+
+  // Distinct rows by distance to the query, each expanded to its copies
+  // in ascending id order.
+  std::vector<size_t> by_distance(kBase);
+  std::iota(by_distance.begin(), by_distance.end(), 0);
+  std::sort(by_distance.begin(), by_distance.end(), [&](size_t a, size_t b) {
+    return linalg::SquaredL2Distance(distinct.RowSpan(a), query) <
+           linalg::SquaredL2Distance(distinct.RowSpan(b), query);
+  });
+  std::vector<size_t> ranking;
+  for (size_t b : by_distance) {
+    for (size_t c = 0; c < kCopies; ++c) ranking.push_back(b + c * kBase);
+  }
+
+  // k covers one tie group exactly, then cuts into the next one.
+  for (size_t k : {kCopies, kCopies + 2}) {
+    SCOPED_TRACE(k);
+    const std::vector<size_t> want(ranking.begin(), ranking.begin() + k);
+    EXPECT_EQ(FlatL2Index(vectors).Search(query, k), want);
+    // rescore_factor 1 makes the int8 prescan choose the rescored rows.
+    const FlatL2Index flat_int8(
+        vectors, FlatL2Index::Options{.quantized = true, .rescore_factor = 1});
+    EXPECT_EQ(flat_int8.Search(query, k), want);
+    for (size_t num_lists : {size_t{1}, size_t{0}}) {
+      SCOPED_TRACE(num_lists);
+      IvfIndex::Options options;
+      options.num_lists = num_lists;
+      EXPECT_EQ(IvfIndex(vectors, options).Search(query, k), want);
+      options.quantized = true;
+      options.rescore_factor = 1;
+      EXPECT_EQ(IvfIndex(vectors, options).Search(query, k), want);
+    }
+  }
+  // The hash buckets decide which farther rows are candidates at all, so
+  // the LSH index is held to the exact tie group its query collides with.
+  EXPECT_EQ(RandomHyperplaneLsh(vectors, {}).Search(query, kCopies),
+            std::vector<size_t>(ranking.begin(), ranking.begin() + kCopies));
 }
 
 TEST(IvfIndexTest, SingleListIsExactFlatSearch) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/rng.h"
 #include "linalg/eigen.h"
@@ -58,6 +60,25 @@ TEST(MatrixTest, MultiplyMatchesHandComputation) {
 TEST(MatrixTest, MultiplyVector) {
   Matrix a = Matrix::FromRows({{1, 2, 3}, {4, 5, 6}});
   EXPECT_EQ(a.MultiplyVector({1, 0, -1}), (Vector{-2, -2}));
+}
+
+TEST(MatrixTest, GatherRowsCopiesListedRowsBitForBit) {
+  const Matrix m = RandomMatrix(6, 5, 21);
+  const Matrix none = GatherRows(m, std::vector<size_t>{});
+  EXPECT_EQ(none.rows(), 0u);
+  EXPECT_EQ(none.cols(), 5u);
+  // Repeated and unsorted ids: each output row is its source row, bit
+  // for bit, in list order.
+  const std::vector<size_t> rows = {4, 1, 4, 0, 5, 1};
+  const Matrix g = GatherRows(m, rows);
+  ASSERT_EQ(g.rows(), rows.size());
+  ASSERT_EQ(g.cols(), m.cols());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(std::memcmp(g.RowPtr(i), m.RowPtr(rows[i]),
+                          m.cols() * sizeof(double)),
+              0)
+        << "row " << i;
+  }
 }
 
 // --- Stats ---------------------------------------------------------------------

@@ -93,7 +93,7 @@ TEST(FlatIndexTest, ExactNearestNeighbours) {
   vectors(2, 0) = 2.0;
   vectors(3, 0) = 3.0;
   FlatL2Index index(vectors);
-  const auto hits = index.Search({1.1, 0.0}, 2);
+  const auto hits = index.Search(Vector{1.1, 0.0}, 2);
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_EQ(hits[0], 1u);
   EXPECT_EQ(hits[1], 2u);
@@ -103,7 +103,7 @@ TEST(FlatIndexTest, KLargerThanIndexSize) {
   Matrix vectors(2, 2);
   vectors(1, 0) = 1.0;
   FlatL2Index index(vectors);
-  EXPECT_EQ(index.Search({0.0, 0.0}, 10).size(), 2u);
+  EXPECT_EQ(index.Search(Vector{0.0, 0.0}, 10).size(), 2u);
 }
 
 TEST(LshIndexTest, ApproximateSearchFindsNearNeighbours) {

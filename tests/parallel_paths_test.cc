@@ -1,9 +1,8 @@
-// Determinism tests for every pool-aware stage: signature encoding,
-// similarity-matrix construction, SIM matching, threshold sweeps, and
-// local-model fitting must produce byte-identical results with a pool
-// of any size as they do serially. The early-exit linkability assessment
-// must equal the exhaustive pass, and neural models must score safely
-// from two threads. This binary is also part of the TSan suite
+// Determinism tests for every pool-aware stage: signature encoding, SIM
+// matching, threshold sweeps, and local-model fitting must produce
+// byte-identical results with a pool of any size as they do serially.
+// The early-exit linkability assessment must equal the exhaustive pass,
+// and neural models must score safely from two threads. This binary is also part of the TSan suite
 // (tools/run_sanitized_tests.sh), so the same cases double as data-race
 // checks on the parallel paths.
 
@@ -23,7 +22,6 @@
 #include "eval/sweep.h"
 #include "linalg/matrix.h"
 #include "matching/sim.h"
-#include "matching/similarity_matrix.h"
 #include "obs/metrics.h"
 #include "scoping/collaborative.h"
 #include "scoping/neural_collaborative.h"
@@ -94,38 +92,6 @@ TEST(ParallelSignaturesTest, BuildSignaturesMatchesSerial) {
   ASSERT_EQ(parallel.refs, serial.refs);
   ASSERT_EQ(parallel.texts, serial.texts);
   ExpectBitIdentical(parallel.signatures, serial.signatures);
-}
-
-TEST(ParallelSimilarityMatrixTest, PoolBuildIsIdenticalToSerial) {
-  const auto scenario = datasets::BuildToyScenario();
-  embed::HashedLexiconEncoder encoder;
-  const auto signatures = scoping::BuildSignatures(scenario.set, encoder);
-  const std::vector<bool> active(signatures.size(), true);
-  const matching::CosineScorer scorer;
-  const auto serial =
-      matching::BuildSimilarityMatrix(signatures, active, scorer);
-  for (size_t threads : {2u, 7u}) {
-    ThreadPool pool(threads);
-    const auto parallel =
-        matching::BuildSimilarityMatrix(signatures, active, scorer, &pool);
-    // Map equality covers both the pair set and every score bit.
-    EXPECT_EQ(parallel.scores(), serial.scores());
-  }
-}
-
-TEST(ParallelSimilarityMatrixTest, PartialMaskStillIdentical) {
-  const auto scenario = datasets::BuildToyScenario();
-  embed::HashedLexiconEncoder encoder;
-  const auto signatures = scoping::BuildSignatures(scenario.set, encoder);
-  std::vector<bool> active(signatures.size(), true);
-  for (size_t i = 0; i < active.size(); i += 3) active[i] = false;
-  const matching::NameScorer scorer;
-  const auto serial =
-      matching::BuildSimilarityMatrix(signatures, active, scorer);
-  ThreadPool pool(4);
-  const auto parallel =
-      matching::BuildSimilarityMatrix(signatures, active, scorer, &pool);
-  EXPECT_EQ(parallel.scores(), serial.scores());
 }
 
 TEST(ParallelSimMatcherTest, LinkageSetIdenticalToSerial) {
