@@ -2,7 +2,8 @@
 // dot-per-cell Multiply vs the naive triple loop, the fused
 // MultiplyTransposedB (A·Bᵀ) vs materializing the transpose, the
 // runtime-dispatched 768-dim span kernels (dot / cosine / MSE) vs the
-// scalar reference table, the int8 quantized-store scan vs the double
+// scalar reference table, the PCA decode's one dot_columns call vs d
+// per-column dots, the int8 quantized-store scan vs the double
 // scan, quantized top-k recall on the paper corpora, and the Gram-trick
 // PCA fit vs the forced covariance path. Every comparison also verifies
 // the optimized kernel against its contract — bit-identity for the
@@ -21,7 +22,7 @@
 // Flags:
 //   --smoke     tiny sizes for the ctest gate (seconds, not minutes)
 //   --out DIR   directory for the BENCH_*.json files (default ".")
-//   --reps N    best-of-N repetitions per measurement (default 3)
+//   --reps N    interleaved samples per measurement, median kept (default 5)
 
 #include <algorithm>
 #include <chrono>
@@ -394,6 +395,64 @@ int main(int argc, char** argv) {
                      {"simd_active", simd_active},
                      {"dot_fast_err_ok", ok ? 1.0 : 0.0}});
     }
+  }
+
+  // ---- PCA decode: d column dots vs one dot_columns call. ----
+  // The decode step of the phase III row body at its measured shape: a
+  // k = 10 code expanded to 768 dimensions. The "before" side is what
+  // the row body did until dot_columns existed — one length-k dot per
+  // output column over a transposed copy of the components (copied once,
+  // outside the timing); the "after" side is one column-dot call
+  // straight over the row-major components. Both run on the dispatched
+  // table and must give the same bits.
+  {
+    const size_t k = 10;
+    const size_t d = 768;
+    const size_t codes = smoke ? 32 : 256;
+    const linalg::Matrix components = RandomMatrix(k, d, 0xdec0);
+    const linalg::Matrix components_t = components.Transposed();
+    const linalg::Matrix z = RandomMatrix(codes, k, 0xdec1);
+    const auto& active = linalg::simd::Active();
+    std::vector<double> per_column(d);
+    std::vector<double> fused(d);
+    volatile double sink = 0.0;
+    const auto [dots_ms, columns_ms, speedup] = TimedPairMs(
+        reps,
+        [&] {
+          for (size_t r = 0; r < codes; ++r) {
+            for (size_t c = 0; c < d; ++c) {
+              per_column[c] =
+                  active.dot(z.RowPtr(r), components_t.RowPtr(c), k);
+            }
+            sink = per_column[0];
+          }
+        },
+        [&] {
+          for (size_t r = 0; r < codes; ++r) {
+            active.dot_columns(z.RowPtr(r), components.RowPtr(0), k, d,
+                               fused.data());
+            sink = fused[0];
+          }
+        });
+    (void)sink;
+    bool ok = true;
+    for (size_t r = 0; r < codes && ok; ++r) {
+      active.dot_columns(z.RowPtr(r), components.RowPtr(0), k, d,
+                         fused.data());
+      for (size_t c = 0; c < d && ok; ++c) {
+        ok = fused[c] == active.dot(z.RowPtr(r), components_t.RowPtr(c), k);
+      }
+    }
+    std::printf("decode k=%zu -> %zud x %zu codes: %zu dots %.3f ms, "
+                "dot_columns %.3f ms (%.2fx), bit-identical: %s\n",
+                k, d, codes, d, dots_ms, columns_ms, speedup,
+                ok ? "yes" : "NO");
+    report.AddRow("pca_decode", StrFormat("decode_%zud", d),
+                  {{"dots_wall_ms", dots_ms},
+                   {"dot_columns_wall_ms", columns_ms},
+                   {"decode_speedup", speedup},
+                   {"simd_active", simd_active},
+                   {"decode_ok", ok ? 1.0 : 0.0}});
   }
 
   // ---- int8 quantized scan vs double scan. ----

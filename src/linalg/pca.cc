@@ -97,10 +97,6 @@ Vector PcaModel::ReconstructionErrors(const Matrix& x,
   const auto& kernels = simd::Active();
   const size_t d = dims();
   const size_t k = n_components();
-  // Transposed per call, not kept with the model: a second long-lived
-  // k x d copy per model raised the benchmark's peak RSS through heap
-  // fragmentation, while one transpose per call costs O(k·d).
-  const Matrix components_t = components_.Transposed();
   Vector centered(d);
   Vector code(k);
   Vector reconstructed(d);
@@ -112,10 +108,11 @@ Vector PcaModel::ReconstructionErrors(const Matrix& x,
     for (size_t j = 0; j < k; ++j) {
       code[j] = kernels.dot(centered.data(), components_.RowPtr(j), d);
     }
-    for (size_t c = 0; c < d; ++c) {
-      reconstructed[c] =
-          kernels.dot(code.data(), components_t.RowPtr(c), k) + mean_[c];
-    }
+    // Decode: one column dot per dimension, straight over the
+    // row-major components — the same tree as `dot` on each column.
+    kernels.dot_columns(code.data(), components_.RowPtr(0), k, d,
+                        reconstructed.data());
+    for (size_t c = 0; c < d; ++c) reconstructed[c] += mean_[c];
     out[i] = kernels.squared_l2(row, reconstructed.data(), d) /
              static_cast<double>(d);
   }

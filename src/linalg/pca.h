@@ -59,10 +59,11 @@ class PcaModel {
   /// Reconstruction MSE of the rows of `x` listed in `rows` (any order,
   /// repeats allowed), one output per listed row. Each row is streamed
   /// through the kernels of Encode -> Decode -> RowwiseMse in the same
-  /// order — center, k dots against the components, d dots of length k
-  /// against their transpose (built once per call), add the mean,
-  /// squared L2 / d — so a row's error is bit-identical to the composed
-  /// whole-matrix kernels and independent of which other rows are listed.
+  /// order — center, k dots against the components, one `dot_columns`
+  /// call over the components (d column dots of length k, no transpose),
+  /// add the mean, squared L2 / d — so a row's error is bit-identical to
+  /// the composed whole-matrix kernels and independent of which other
+  /// rows are listed.
   Vector ReconstructionErrors(const Matrix& x,
                               std::span<const size_t> rows) const;
 

@@ -10,7 +10,8 @@
 namespace colscope::linalg::simd {
 
 /// The span kernels behind every hot scoring path (Dot / Norm / Cosine /
-/// MSE / L2 over 768-dim signatures), dispatched once at startup to the
+/// MSE / L2 over 768-dim signatures, and the column dots that decode a
+/// PCA code), dispatched once at startup to the
 /// best implementation the CPU offers (AVX2+FMA on x86-64, NEON on
 /// aarch64, portable scalar everywhere else).
 ///
@@ -18,7 +19,8 @@ namespace colscope::linalg::simd {
 /// kernels computes the exact same fixed reduction tree (kLanes partial
 /// sums filled round-robin over the main body, tail elements into lanes
 /// 0..rem-1, then the fixed combine: lanewise fold f_j = l_j + l_{j+8}
-/// for j = 0..7 followed by ((f0+f4)+(f2+f6)) + ((f1+f5)+(f3+f7))), so
+/// for j = 0..7 followed by ((f0+f4)+(f2+f6)) + ((f1+f5)+(f3+f7));
+/// `dot_columns` builds that tree once per column), so
 /// results are *bit-identical* across the scalar and native tables,
 /// across ISAs
 /// that honor it, and therefore across `--kernels` settings and thread
@@ -47,6 +49,15 @@ struct KernelTable {
   /// cosine similarity in a single streaming pass instead of three.
   void (*cosine_terms)(const double* a, const double* b, size_t n,
                        double* dot_ab, double* norm2_a, double* norm2_b);
+
+  /// out[c] = Σ_t a[t] * b[t * d + c] for c in [0, d): the dot of
+  /// a[0..k) with every column of the row-major k x d matrix `b`, each
+  /// over the canonical reduction tree — bit-identical to `dot` on that
+  /// column gathered into a contiguous span. One call decodes a PCA
+  /// code (k components) back to d dimensions without transposing the
+  /// components or paying d separate tree set-ups.
+  void (*dot_columns)(const double* a, const double* b, size_t k, size_t d,
+                      double* out);
 
   /// Like `dot` but free to contract multiply+add (FMA). NOT part of
   /// the determinism contract: bits may differ from `dot` by a bounded

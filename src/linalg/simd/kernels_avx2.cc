@@ -9,8 +9,10 @@
 // add chains — enough to clear vaddpd latency and run at the load-port
 // ceiling — with multiply+add kept as separate rounded operations (no
 // FMA contraction — that would change bits), tail handled by the same
-// scalar code as the reference, and the fixed lane combine. Only
-// dot_fast contracts into FMAs.
+// scalar code as the reference, and the fixed lane combine.
+// dot_columns turns the layout around — one ymm per lane holding four
+// output columns — and builds the same tree per column. Only dot_fast
+// contracts into FMAs.
 
 #include "linalg/simd/kernels.h"
 
@@ -21,6 +23,17 @@
 namespace colscope::linalg::simd {
 
 namespace {
+
+/// The fixed combine of the 16 partial sums, as in the reference.
+inline double CombineLanes(const double lanes[kLanes]) {
+  double f[8];
+  for (size_t j = 0; j < 8; ++j) f[j] = lanes[j] + lanes[j + 8];
+  const double c0 = f[0] + f[4];
+  const double c1 = f[1] + f[5];
+  const double c2 = f[2] + f[6];
+  const double c3 = f[3] + f[7];
+  return (c0 + c2) + (c1 + c3);
+}
 
 /// Spills the four vector accumulators into the canonical lane array
 /// (lanes 0-3 from `v0` through 12-15 from `v3`), folds the tail in
@@ -34,13 +47,7 @@ inline double FinishTree(__m256d v0, __m256d v1, __m256d v2, __m256d v3,
   _mm256_store_pd(lanes + 8, v2);
   _mm256_store_pd(lanes + 12, v3);
   for (size_t t = 0; t < rem; ++t) lanes[t] += acc_tail[t];
-  double f[8];
-  for (size_t j = 0; j < 8; ++j) f[j] = lanes[j] + lanes[j + 8];
-  const double c0 = f[0] + f[4];
-  const double c1 = f[1] + f[5];
-  const double c2 = f[2] + f[6];
-  const double c3 = f[3] + f[7];
-  return (c0 + c2) + (c1 + c3);
+  return CombineLanes(lanes);
 }
 
 double DotAvx2(const double* a, const double* b, size_t n) {
@@ -142,6 +149,70 @@ void CosineTermsAvx2(const double* a, const double* b, size_t n,
   *dot_ab = FinishTree(ab0, ab1, ab2, ab3, tail_ab, rem);
   *norm2_a = FinishTree(aa0, aa1, aa2, aa3, tail_aa, rem);
   *norm2_b = FinishTree(bb0, bb1, bb2, bb3, tail_bb, rem);
+}
+
+/// One canonical lane for 4·V adjacent columns: V ymm registers of
+/// four columns each.
+template <size_t V>
+struct LaneBlock {
+  __m256d v[V];
+};
+
+template <size_t V>
+inline LaneBlock<V> Add(LaneBlock<V> x, const LaneBlock<V>& y) {
+  for (size_t i = 0; i < V; ++i) x.v[i] = _mm256_add_pd(x.v[i], y.v[i]);
+  return x;
+}
+
+/// Lane `j` of the canonical tree for the columns that start at `b`:
+/// the terms t = j, j + 16, ... below k in increasing t, summed from
+/// +0.0 — exactly what the reference's body iterations and then its
+/// tail put into lane j. One broadcast of a[t] serves all V registers.
+template <size_t V>
+inline LaneBlock<V> ColumnLane(const double* a, const double* b, size_t k,
+                               size_t d, size_t j) {
+  LaneBlock<V> acc;
+  for (size_t i = 0; i < V; ++i) acc.v[i] = _mm256_setzero_pd();
+  for (size_t t = j; t < k; t += kLanes) {
+    const __m256d x = _mm256_broadcast_sd(a + t);
+    const double* row = b + t * d;
+    for (size_t i = 0; i < V; ++i) {
+      acc.v[i] = _mm256_add_pd(
+          acc.v[i], _mm256_mul_pd(x, _mm256_loadu_pd(row + 4 * i)));
+    }
+  }
+  return acc;
+}
+
+/// The whole tree for 4·V columns at once: the lanes are folded
+/// lanewise by the fixed combine, so no lane is ever spilled.
+template <size_t V>
+inline void ColumnTrees(const double* a, const double* b, size_t k,
+                        size_t d, double* out) {
+  const auto lane = [&](size_t j) { return ColumnLane<V>(a, b, k, d, j); };
+  // (l_j + l_{j+8}) + (l_{j+4} + l_{j+12}) = f_j + f_{j+4}.
+  const auto fold = [&](size_t j) {
+    return Add(Add(lane(j), lane(j + 8)), Add(lane(j + 4), lane(j + 12)));
+  };
+  const LaneBlock<V> sum =
+      Add(Add(fold(0), fold(2)), Add(fold(1), fold(3)));
+  for (size_t i = 0; i < V; ++i) _mm256_storeu_pd(out + 4 * i, sum.v[i]);
+}
+
+/// Four output columns per ymm register, sixteen per step so one
+/// broadcast feeds four registers (eight registers per step spill and
+/// run 5x slower); then groups of four, then the columns past the last
+/// multiple of four through the scalar tree.
+void DotColumnsAvx2(const double* a, const double* b, size_t k, size_t d,
+                    double* out) {
+  size_t c = 0;
+  for (; c + 16 <= d; c += 16) ColumnTrees<4>(a, b + c, k, d, out + c);
+  for (; c + 4 <= d; c += 4) ColumnTrees<1>(a, b + c, k, d, out + c);
+  for (; c < d; ++c) {
+    double lanes[kLanes] = {};
+    for (size_t t = 0; t < k; ++t) lanes[t % kLanes] += a[t] * b[t * d + c];
+    out[c] = CombineLanes(lanes);
+  }
 }
 
 /// FMA dot: four contracted accumulators, 16 doubles per iteration.
@@ -257,8 +328,8 @@ int64_t SquaredL2I8Avx2(const int8_t* a, const int8_t* b, size_t n) {
 
 const KernelTable* Avx2Kernels() {
   static const KernelTable table = {
-      "avx2",      DotAvx2,   SquaredL2Avx2,   CosineTermsAvx2,
-      DotFastAvx2, DotI8Avx2, SquaredL2I8Avx2,
+      "avx2",         DotAvx2,     SquaredL2Avx2, CosineTermsAvx2,
+      DotColumnsAvx2, DotFastAvx2, DotI8Avx2,     SquaredL2I8Avx2,
   };
   return &table;
 }

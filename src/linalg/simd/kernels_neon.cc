@@ -6,7 +6,9 @@
 // separate rounded operations (vmlaq may contract on some compilers, so
 // explicit vmul+vadd), the tail reuses the scalar reference code, and
 // the combine follows the fixed lane grouping — bit-identical to the
-// scalar table.
+// scalar table. dot_columns is the scalar reference itself: no aarch64
+// host has been available to check a NEON body against it, and an
+// unchecked body could ship different bits.
 
 #include "linalg/simd/kernels.h"
 
@@ -175,6 +177,7 @@ int64_t SquaredL2I8Neon(const int8_t* a, const int8_t* b, size_t n) {
 const KernelTable* NeonKernels() {
   static const KernelTable table = {
       "neon",      DotNeon,   SquaredL2Neon,   CosineTermsNeon,
+      ScalarKernels().dot_columns,  // See the note at the top.
       DotFastNeon, DotI8Neon, SquaredL2I8Neon,
   };
   return &table;

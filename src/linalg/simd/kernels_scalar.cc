@@ -81,6 +81,24 @@ void CosineTermsScalar(const double* a, const double* b, size_t n,
   *norm2_b = CombineLanes(acc_bb);
 }
 
+void DotColumnsScalar(const double* a, const double* b, size_t k, size_t d,
+                      double* out) {
+  const size_t body = k - k % kLanes;
+  for (size_t c = 0; c < d; ++c) {
+    const double* col = b + c;
+    double acc[kLanes] = {};
+    for (size_t i = 0; i < body; i += kLanes) {
+      for (size_t j = 0; j < kLanes; ++j) {
+        acc[j] += a[i + j] * col[(i + j) * d];
+      }
+    }
+    for (size_t t = 0; t < k - body; ++t) {
+      acc[t] += a[body + t] * col[(body + t) * d];
+    }
+    out[c] = CombineLanes(acc);
+  }
+}
+
 int64_t DotI8Scalar(const int8_t* a, const int8_t* b, size_t n) {
   int64_t sum = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -102,7 +120,8 @@ int64_t SquaredL2I8Scalar(const int8_t* a, const int8_t* b, size_t n) {
 
 const KernelTable& ScalarKernels() {
   static const KernelTable table = {
-      "scalar",       DotScalar, SquaredL2Scalar, CosineTermsScalar,
+      "scalar",          DotScalar,        SquaredL2Scalar,
+      CosineTermsScalar, DotColumnsScalar,
       /*dot_fast=*/DotScalar, DotI8Scalar, SquaredL2I8Scalar,
   };
   return table;

@@ -138,6 +138,32 @@ TEST(PcaRowErrorsTest, RowOverloadIsBitIdenticalToComposedKernels) {
   EXPECT_TRUE(pca->ReconstructionErrors(x, std::vector<size_t>{}).empty());
 }
 
+TEST(PcaRowErrorsTest, WideCodeAndColumnTailMatchComposedKernels) {
+  // The fit above keeps k <= 9 components of d = 48, so the decode's
+  // column dots never reach the 16-lane body and d % 4 == 0 leaves the
+  // AVX2 column tail idle. Here k >= 17 and d % 4 == 2 run both, under
+  // each kernel table; Decode (Matrix::Multiply over a transpose) stays
+  // the independent reference.
+  const Matrix train = RandomMatrix(40, 50, 0x72);
+  const Matrix x = RandomMatrix(13, 50, 0x73);
+  const auto pca = PcaModel::FitWithVariance(train, 0.99);
+  ASSERT_TRUE(pca.ok());
+  ASSERT_GE(pca->n_components(), 17u);
+  ASSERT_NE(pca->dims() % 4, 0u);
+  for (const char* mode : {"scalar", "native"}) {
+    ASSERT_TRUE(simd::ForceMode(mode).ok());
+    const Vector reference = ComposedReconstructionErrors(*pca, x);
+    EXPECT_EQ(pca->ReconstructionErrors(x), reference) << mode;
+    const std::vector<size_t> listed = {12, 0, 5, 5};
+    const Vector errors = pca->ReconstructionErrors(x, listed);
+    ASSERT_EQ(errors.size(), listed.size());
+    for (size_t i = 0; i < listed.size(); ++i) {
+      EXPECT_EQ(errors[i], reference[listed[i]]) << mode << " row " << i;
+    }
+  }
+  simd::ResetDispatchForTesting();
+}
+
 /// The Gram and covariance paths diagonalize different matrices, so
 /// components may differ by sign and ~1e-9 noise; everything observable
 /// (subspace, explained variance, reconstructions) must agree.

@@ -1,6 +1,7 @@
 // The SIMD dispatch contract, end to end: every double-precision kernel
 // of every compiled-in table is bit-identical to the scalar reference
-// (the canonical 16-lane reduction tree), the int8 kernels are exact
+// (the canonical 16-lane reduction tree; dot_columns also to `dot` over
+// each gathered column), the int8 kernels are exact
 // integer arithmetic, ForceMode/COLSCOPE_FORCE_SCALAR steer dispatch,
 // dot_fast stays within its forward error bound, the quantized
 // signature store round-trips within its error bounds, and the
@@ -8,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -96,6 +98,70 @@ TEST(SimdKernelsTest, DoubleKernelsBitIdenticalOnUnalignedSpans) {
       EXPECT_EQ(table->squared_l2(a.data() + off, b.data() + off, n),
                 scalar.squared_l2(a.data() + off, b.data() + off, n))
           << table->name << " offset=" << off;
+    }
+  }
+}
+
+/// The raw bits of a double, so a +0.0 / -0.0 mismatch fails too.
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+TEST(SimdKernelsTest, DotColumnsMatchesScalarTableAndGatheredColumnDots) {
+  // k straddles the 16-lane body (none, exactly one, one plus a tail,
+  // several); d covers the AVX2 sixteen- and four-column steps with and
+  // without a column tail. Offset views shift `b` and `out` off every vector
+  // boundary, and sentinels around `out` catch a write outside [0, d).
+  const KernelTable& scalar = ScalarKernels();
+  const size_t ks[] = {0, 1, 3, 15, 16, 17, 31, 32, 33, 100};
+  const size_t ds[] = {1, 3, 4, 5, 7, 23, 768};
+  const double kSentinel = -12345.5;
+  for (const KernelTable* table : RunnableTables()) {
+    for (size_t k : ks) {
+      for (size_t d : ds) {
+        const auto a = RandomSpan(k, 3000 + 10 * k + d);
+        const auto b = RandomSpan(k * d + 8, 4000 + 10 * k + d);
+        for (size_t off : {size_t{0}, size_t{1}, size_t{3}}) {
+          const double* matrix = b.data() + off;
+          std::vector<double> got(d + 8, kSentinel);
+          std::vector<double> want(d + 8, kSentinel);
+          table->dot_columns(a.data(), matrix, k, d, got.data() + off);
+          scalar.dot_columns(a.data(), matrix, k, d, want.data() + off);
+          std::vector<double> column(k);
+          for (size_t c = 0; c < d; ++c) {
+            for (size_t t = 0; t < k; ++t) column[t] = matrix[t * d + c];
+            const double gathered = scalar.dot(a.data(), column.data(), k);
+            EXPECT_EQ(Bits(got[off + c]), Bits(want[off + c]))
+                << table->name << " k=" << k << " d=" << d << " c=" << c
+                << " off=" << off;
+            EXPECT_EQ(Bits(got[off + c]), Bits(gathered))
+                << table->name << " k=" << k << " d=" << d << " c=" << c
+                << " off=" << off;
+          }
+          for (size_t i = 0; i < off; ++i) EXPECT_EQ(got[i], kSentinel);
+          for (size_t i = off + d; i < got.size(); ++i) {
+            EXPECT_EQ(got[i], kSentinel) << table->name << " wrote past d";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernelsTest, DotColumnsKeepsTheTreesPositiveZero) {
+  // Every lane starts at +0.0, so a column whose products are all -0.0
+  // sums to +0.0 — as `dot` does — on every table. k = 16 fills every
+  // lane (an empty +0.0 lane would hide a -0.0 one in the fold), and
+  // d = 22 runs the sixteen-column, four-column and scalar steps.
+  const size_t k = 16;
+  const size_t d = 22;
+  const std::vector<double> a(k, -0.0);
+  const std::vector<double> b(k * d, 1.0);
+  for (const KernelTable* table : RunnableTables()) {
+    std::vector<double> out(d, 1.0);
+    table->dot_columns(a.data(), b.data(), k, d, out.data());
+    for (size_t c = 0; c < d; ++c) {
+      EXPECT_EQ(Bits(out[c]), Bits(table->dot(a.data(), b.data(), k)))
+          << table->name << " c=" << c;
+      EXPECT_EQ(Bits(out[c]), Bits(0.0)) << table->name << " c=" << c;
     }
   }
 }

@@ -5,7 +5,9 @@
 #      (memory safety of the untrusted-input paths) — including the
 #      artifact-cache reader, the one way a run recovers state from
 #      disk — plus the SIMD/int8 kernel equivalence battery (unaligned
-#      loads, padded quantized stores — exactly what ASan is for);
+#      loads, padded quantized stores — exactly what ASan is for) and
+#      the linalg kernel tests, whose PCA row body reads the components
+#      through the strided column-dot kernel;
 #   2. TSan over the concurrency-facing tests (thread pool, metrics
 #      registry, cancellation tokens, and the shared serving loop that
 #      the distributed worker and colscoped drive from many connection
@@ -16,7 +18,7 @@ set -e
 root="$(cd "$(dirname "$0")/.." && pwd)"
 build="${1:-$root/build-sanitized}"
 
-asan_tests='exchange_test|model_corruption_test|model_io_test|robustness_test|simd_kernels_test|cache_test|pipeline_test'
+asan_tests='exchange_test|model_corruption_test|model_io_test|robustness_test|simd_kernels_test|linalg_kernels_test|cache_test|pipeline_test'
 tsan_tests='thread_pool_test|obs_test|cancellation_test|parallel_paths_test|server_test|tcp_transport_test'
 
 # Compile through ccache when it is installed (the CI jobs restore a
@@ -32,7 +34,7 @@ cmake -B "$build" -S "$root" $launcher_flags \
   -DCOLSCOPE_ASAN=ON -DCOLSCOPE_UBSAN=ON
 cmake --build "$build" -j \
   --target exchange_test model_corruption_test model_io_test robustness_test \
-  simd_kernels_test cache_test pipeline_test
+  simd_kernels_test linalg_kernels_test cache_test pipeline_test
 (cd "$build" && ctest --output-on-failure -R "^($asan_tests)\$")
 
 # shellcheck disable=SC2086
