@@ -15,7 +15,6 @@
 #include "embed/hashed_encoder.h"
 #include "linalg/pca.h"
 #include "linalg/svd.h"
-#include "linalg/truncated_svd.h"
 #include "matching/flat_index.h"
 #include "matching/ivf_index.h"
 #include "matching/lsh_matcher.h"
@@ -103,15 +102,6 @@ void BM_ThinSvd(benchmark::State& state) {
 BENCHMARK(BM_ThinSvd)->Arg(16)->Arg(32)->Arg(64)->Arg(128)
     ->Unit(benchmark::kMillisecond)->Complexity(benchmark::oNSquared);
 
-void BM_TruncatedSvd(benchmark::State& state) {
-  const auto sig = SyntheticSignatures(1, state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::TruncatedSvd(sig.signatures, 16));
-  }
-}
-BENCHMARK(BM_TruncatedSvd)->Arg(64)->Arg(128)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_FitLocalModel(benchmark::State& state) {
   const auto sig = SyntheticSignatures(1, state.range(0));
   for (auto _ : state) {
@@ -198,17 +188,6 @@ void BM_LshMatcher(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LshMatcher)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
-
-void BM_LshMatcher_Approximate(benchmark::State& state) {
-  const auto sig = SyntheticSignatures(3, state.range(0));
-  const matching::LshMatcher matcher(5, /*approximate=*/true);
-  const std::vector<bool> all(sig.size(), true);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(matcher.Match(sig, all));
-  }
-}
-BENCHMARK(BM_LshMatcher_Approximate)->Arg(32)->Arg(64)
-    ->Unit(benchmark::kMillisecond);
 
 // --- Quantized flat-index recall-vs-speed sweep ------------------------------
 

@@ -15,6 +15,12 @@ namespace colscope::datasets {
 /// domain vocabularies. Varying `private_per_schema` sweeps the
 /// unlinkable overhead — the heterogeneity axis of the paper's OC3 vs
 /// OC3-FO comparison — at arbitrary scale.
+///
+/// This is the generator of EXPERIMENTS.md's unlinkable-overhead sweep
+/// (`bench/ablation_overhead`), and the only one that holds the linkable
+/// core fixed while it adds private elements: `synthetic_corpus`'s
+/// dropout replaces shared concepts, so its overhead and its linkable
+/// core move together. That is why it stays beside `synthetic_corpus`.
 struct SyntheticOptions {
   size_t num_schemas = 3;
   /// Cross-schema attribute concepts; capped at the built-in vocabulary

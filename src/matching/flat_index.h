@@ -1,7 +1,6 @@
 #ifndef COLSCOPE_MATCHING_FLAT_INDEX_H_
 #define COLSCOPE_MATCHING_FLAT_INDEX_H_
 
-#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -11,8 +10,8 @@
 
 namespace colscope::matching {
 
-/// The one k-NN ranking every index in this library shares (FlatL2Index,
-/// IvfIndex, RandomHyperplaneLsh): the ids of the min(k, |candidates|)
+/// The one k-NN ranking both indexes in this library share (FlatL2Index
+/// and IvfIndex): the ids of the min(k, |candidates|)
 /// `candidates` (distinct row ids of `vectors`, in any order) nearest to
 /// `query`, ordered by (exact squared L2 distance, id) — equal distances
 /// rank the lower id first.
@@ -65,39 +64,6 @@ class FlatL2Index {
   std::vector<size_t> ids_;
   /// Present only in quantized mode.
   std::unique_ptr<embed::QuantizedSignatureStore> store_;
-};
-
-/// A genuine locality-sensitive-hashing index using random-hyperplane
-/// signatures (SimHash) with multi-probe verification: candidates are
-/// collected from hash buckets across `num_tables` tables and ranked by
-/// RankNearest (exact, no prescan). Approximate — recall depends on the
-/// bits/tables configuration. Provided as the extension the library
-/// offers beyond the paper's exact flat search.
-class RandomHyperplaneLsh {
- public:
-  struct Options {
-    size_t num_bits = 12;
-    size_t num_tables = 8;
-    uint64_t seed = 0x15a5eed;
-  };
-
-  RandomHyperplaneLsh(linalg::Matrix vectors, Options options);
-
-  /// Approximate top-k by L2 among hash-bucket candidates; falls back to
-  /// scanning everything when the buckets yield fewer than k candidates.
-  std::vector<size_t> Search(std::span<const double> query, size_t k) const;
-
-  size_t size() const { return vectors_.rows(); }
-
- private:
-  uint64_t HashVector(std::span<const double> v, size_t table) const;
-
-  linalg::Matrix vectors_;
-  Options options_;
-  // hyperplanes_[table] is a (num_bits x dims) matrix.
-  std::vector<linalg::Matrix> hyperplanes_;
-  // buckets_[table]: hash -> row ids.
-  std::vector<std::vector<std::pair<uint64_t, size_t>>> buckets_;
 };
 
 }  // namespace colscope::matching

@@ -1,8 +1,6 @@
 #include "matching/lsh_matcher.h"
 
-#include <optional>
 #include <span>
-#include <utility>
 
 #include "common/strings.h"
 #include "matching/flat_index.h"
@@ -10,7 +8,7 @@
 namespace colscope::matching {
 
 std::string LshMatcher::name() const {
-  return StrFormat("LSH(%zu)%s", top_k_, approximate_ ? "~" : "");
+  return StrFormat("LSH(%zu)", top_k_);
 }
 
 std::set<ElementPair> LshMatcher::Match(
@@ -32,27 +30,16 @@ std::set<ElementPair> LshMatcher::Match(
   for (int target = 0; target <= max_schema; ++target) {
     const auto& target_rows = schema_rows[target];
     if (target_rows.empty()) continue;
-    linalg::Matrix target_vectors =
-        linalg::GatherRows(signatures.signatures, target_rows);
-    // Only the index this matcher searches is built.
-    std::optional<FlatL2Index> flat;
-    std::optional<RandomHyperplaneLsh> lsh;
-    if (approximate_) {
-      lsh.emplace(std::move(target_vectors), RandomHyperplaneLsh::Options{});
-    } else {
-      flat.emplace(std::move(target_vectors),
-                   FlatL2Index::Options{.quantized = quantized_});
-    }
+    const FlatL2Index index(
+        linalg::GatherRows(signatures.signatures, target_rows),
+        FlatL2Index::Options{.quantized = quantized_});
 
     for (int source = 0; source <= max_schema; ++source) {
       if (source == target) continue;
       for (size_t query_row : schema_rows[source]) {
         const std::span<const double> query =
             signatures.signatures.RowSpan(query_row);
-        const std::vector<size_t> hits =
-            approximate_ ? lsh->Search(query, top_k_)
-                         : flat->Search(query, top_k_);
-        for (size_t hit : hits) {
+        for (size_t hit : index.Search(query, top_k_)) {
           const size_t hit_row = target_rows[hit];
           if (!IsCandidate(signatures, active, query_row, hit_row)) continue;
           out.insert(

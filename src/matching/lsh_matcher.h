@@ -11,16 +11,12 @@ namespace colscope::matching {
 /// element in the other schema. The union over directions forms the
 /// candidate set. The paper evaluates top-k in {1, 5, 20}.
 ///
-/// Set `approximate` to true to use the genuine random-hyperplane LSH
-/// index instead of the exact flat search (library extension). Set
-/// `quantized` to rank flat-search candidates with the int8 signature
-/// store before exact rescoring (`--quantized`; ignored in approximate
-/// mode, which has its own candidate generation).
+/// Set `quantized` to rank flat-search candidates with the int8
+/// signature store before exact rescoring (`--quantized`).
 class LshMatcher : public Matcher {
  public:
-  explicit LshMatcher(size_t top_k, bool approximate = false,
-                      bool quantized = false)
-      : top_k_(top_k), approximate_(approximate), quantized_(quantized) {}
+  explicit LshMatcher(size_t top_k, bool quantized = false)
+      : top_k_(top_k), quantized_(quantized) {}
 
   std::string name() const override;
   std::set<ElementPair> Match(const scoping::SignatureSet& signatures,
@@ -30,7 +26,6 @@ class LshMatcher : public Matcher {
 
  private:
   size_t top_k_;
-  bool approximate_;
   bool quantized_;
 };
 

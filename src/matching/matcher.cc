@@ -45,7 +45,7 @@ std::unique_ptr<Matcher> MakeMatcher(const MatcherSpec& spec,
   if (spec.name == "lsh") {
     return std::make_unique<LshMatcher>(
         spec.param >= 0 ? static_cast<size_t>(spec.param) : 1,
-        /*approximate=*/false, spec.quantized);
+        spec.quantized);
   }
   if (spec.name == "tbsim") {
     return std::make_unique<TokenBlockedSimMatcher>(

@@ -1,15 +1,14 @@
-// Tests for the extended matching substrate: silhouette-based self-tuned
-// clustering (ALITE-style) and Similarity Flooding.
+// Tests for the self-tuned cluster matcher: the silhouette score that picks
+// k (ALITE-style) and ClusterMatcher(0), which the CLI reaches through
+// `--matcher cluster --param 0`.
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "datasets/toy.h"
-#include "schema/ddl_parser.h"
 #include "embed/hashed_encoder.h"
 #include "matching/cluster_matcher.h"
 #include "matching/silhouette.h"
-#include "matching/similarity_flooding.h"
 #include "scoping/signatures.h"
 
 namespace colscope::matching {
@@ -84,119 +83,6 @@ TEST(AutoClusterMatcherTest, RunsEndToEnd) {
     EXPECT_NE(a.schema, b.schema);
     EXPECT_EQ(a.is_table(), b.is_table());
   }
-}
-
-// --- Similarity Flooding ------------------------------------------------------
-
-class SimilarityFloodingTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    scenario_ = datasets::BuildToyScenario();
-    signatures_ = scoping::BuildSignatures(scenario_.set, encoder_);
-    all_.assign(signatures_.size(), true);
-  }
-
-  std::map<ElementPair, double> FloodScoresFor(
-      const SimilarityFloodingMatcher& sf, int a, int b) {
-    return sf.FloodScores(signatures_, all_, a, b);
-  }
-
-  embed::HashedLexiconEncoder encoder_;
-  datasets::MatchingScenario scenario_;
-  scoping::SignatureSet signatures_;
-  std::vector<bool> all_;
-};
-
-TEST_F(SimilarityFloodingTest, IdenticalNamesBeatDissimilarOnes) {
-  // S1.CLIENT.CID pairs best with an identically-named CID column, not
-  // with lexically unrelated S2 attributes.
-  SimilarityFloodingMatcher sf;
-  const auto scores = FloodScoresFor(sf, 0, 1);
-  auto cid_a = scenario_.set.Resolve("S1", "CLIENT.CID");
-  auto cid_b = scenario_.set.Resolve("S2", "CUSTOMER.CID");
-  ASSERT_TRUE(cid_a.ok() && cid_b.ok());
-  const auto cid_pair = scores.find(MakePair(*cid_a, *cid_b));
-  ASSERT_NE(cid_pair, scores.end());
-  EXPECT_GT(cid_pair->second, 0.3);
-  for (const char* other : {"CUSTOMER.DOB", "CUSTOMER.FIRST_NAME",
-                            "SHIPMENTS.DELIVERY_TIME"}) {
-    auto ref = scenario_.set.Resolve("S2", other);
-    ASSERT_TRUE(ref.ok());
-    const auto it = scores.find(MakePair(*cid_a, *ref));
-    ASSERT_NE(it, scores.end()) << other;
-    EXPECT_GT(cid_pair->second, it->second) << other;
-  }
-}
-
-TEST_F(SimilarityFloodingTest, ScoresNormalizedToUnitMax) {
-  SimilarityFloodingMatcher sf;
-  const auto scores = FloodScoresFor(sf, 0, 2);
-  ASSERT_FALSE(scores.empty());
-  double max_score = 0.0;
-  for (const auto& [pair, score] : scores) {
-    EXPECT_GE(score, 0.0);
-    EXPECT_LE(score, 1.0 + 1e-9);
-    max_score = std::max(max_score, score);
-  }
-  EXPECT_NEAR(max_score, 1.0, 1e-9);
-}
-
-TEST_F(SimilarityFloodingTest, MatchFindsTrueLinkages) {
-  SimilarityFloodingMatcher::Options options;
-  options.threshold = 0.7;
-  SimilarityFloodingMatcher sf(options);
-  const auto pairs = sf.Match(signatures_, all_);
-  size_t true_pairs = 0;
-  for (const auto& [a, b] : pairs) {
-    true_pairs += scenario_.truth.ContainsPair(a, b);
-  }
-  EXPECT_GT(true_pairs, 2u);
-}
-
-TEST(SimilarityFloodingStructureTest, SharedColumnsReinforceTablePairs) {
-  // Two candidate target tables in the SAME pair graph: T2 shares both
-  // column names with T1; T3 shares none. Flooding must rank T1-T2 above
-  // T1-T3 (structural propagation through the shared columns).
-  auto a = schema::ParseDdl("CREATE TABLE T1 (x INT, y INT);", "A");
-  auto b = schema::ParseDdl(
-      "CREATE TABLE T2 (x INT, y INT);"
-      "CREATE TABLE T3 (zz1 VARCHAR(5), zz2 VARCHAR(5));",
-      "B");
-  ASSERT_TRUE(a.ok() && b.ok());
-  schema::SchemaSet set({*a, *b});
-  embed::HashedLexiconEncoder encoder;
-  const auto signatures = scoping::BuildSignatures(set, encoder);
-  const std::vector<bool> all(signatures.size(), true);
-
-  SimilarityFloodingMatcher sf;
-  const auto scores = sf.FloodScores(signatures, all, 0, 1);
-  auto t1 = set.Resolve("A", "T1");
-  auto t2 = set.Resolve("B", "T2");
-  auto t3 = set.Resolve("B", "T3");
-  ASSERT_TRUE(t1.ok() && t2.ok() && t3.ok());
-  const auto good = scores.find(MakePair(*t1, *t2));
-  const auto bad = scores.find(MakePair(*t1, *t3));
-  ASSERT_NE(good, scores.end());
-  ASSERT_NE(bad, scores.end());
-  EXPECT_GT(good->second, bad->second);
-}
-
-TEST_F(SimilarityFloodingTest, RespectsActiveMask) {
-  std::vector<bool> mask = all_;
-  for (size_t i = 0; i < signatures_.size(); ++i) {
-    if (signatures_.refs[i].schema == 3) mask[i] = false;
-  }
-  SimilarityFloodingMatcher sf;
-  for (const auto& [a, b] : sf.Match(signatures_, mask)) {
-    EXPECT_NE(a.schema, 3);
-    EXPECT_NE(b.schema, 3);
-  }
-}
-
-TEST_F(SimilarityFloodingTest, EmptySchemaPairIsEmpty) {
-  SimilarityFloodingMatcher sf;
-  const std::vector<bool> none(signatures_.size(), false);
-  EXPECT_TRUE(sf.FloodScores(signatures_, none, 0, 1).empty());
 }
 
 }  // namespace

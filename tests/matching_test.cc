@@ -106,20 +106,6 @@ TEST(FlatIndexTest, KLargerThanIndexSize) {
   EXPECT_EQ(index.Search(Vector{0.0, 0.0}, 10).size(), 2u);
 }
 
-TEST(LshIndexTest, ApproximateSearchFindsNearNeighbours) {
-  Rng rng(5);
-  Matrix vectors(200, 16);
-  for (double& v : vectors.data()) v = rng.NextGaussian();
-  RandomHyperplaneLsh lsh(vectors, {});
-  FlatL2Index flat(vectors);
-  // Query with an indexed vector: its own id must be the top hit.
-  for (size_t q : {0u, 50u, 199u}) {
-    const auto hits = lsh.Search(vectors.Row(q), 3);
-    ASSERT_FALSE(hits.empty());
-    EXPECT_EQ(hits[0], q);
-  }
-}
-
 // --- SIM ----------------------------------------------------------------------------
 
 TEST_F(MatchingFixture, SimFindsObviousLinkages) {
@@ -204,22 +190,11 @@ TEST_F(MatchingFixture, LshRespectsMask) {
   }
 }
 
-TEST_F(MatchingFixture, ApproximateLshIsReasonableSubstitute) {
-  const auto exact = LshMatcher(3, /*approximate=*/false)
-                         .Match(signatures_, all_active_);
-  const auto approx = LshMatcher(3, /*approximate=*/true)
-                          .Match(signatures_, all_active_);
-  // Approximate retrieval agrees on a majority of the pairs.
-  size_t common = 0;
-  for (const auto& pair : approx) common += exact.count(pair);
-  EXPECT_GE(common * 2, exact.size());
-}
-
 TEST_F(MatchingFixture, MatcherNames) {
   EXPECT_EQ(SimMatcher(0.6).name(), "SIM(0.6)");
   EXPECT_EQ(ClusterMatcher(5).name(), "CLUSTER(5)");
   EXPECT_EQ(LshMatcher(20).name(), "LSH(20)");
-  EXPECT_EQ(LshMatcher(2, true).name(), "LSH(2)~");
+  EXPECT_EQ(LshMatcher(2, /*quantized=*/true).name(), "LSH(2)");
 }
 
 }  // namespace

@@ -5,9 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include "datasets/fabricator.h"
-#include "datasets/oc3.h"
 #include "datasets/synthetic.h"
+#include "datasets/synthetic_corpus.h"
 #include "embed/hashed_encoder.h"
 #include "matching/lsh_matcher.h"
 #include "schema/ddl_parser.h"
@@ -49,19 +48,34 @@ TEST_P(GeneratedSchemaProperty, DdlRoundTripOnSyntheticSchemas) {
   }
 }
 
-TEST_P(GeneratedSchemaProperty, DdlRoundTripOnFabricatedPairs) {
-  const auto mysql = datasets::LoadMySqlSchema();
-  datasets::FabricatorOptions options;
+TEST_P(GeneratedSchemaProperty, DdlRoundTripOnCorpusDdlFiles) {
+  datasets::CorpusOptions options;
   options.seed = GetParam();
-  options.kind = datasets::FabricationKind::kSemanticallyJoinable;
-  const auto scenario =
-      datasets::FabricatePair(*mysql.FindTable("customers"), options);
-  for (const auto& original : scenario.set.schemas()) {
+  options.num_schemas = 3;
+  options.tables_per_schema = 3;
+  const auto corpus = datasets::BuildSyntheticCorpus(options);
+  // Files come in flattened schema order, each schema's `<SCHEMA>.sql`
+  // ahead of its CSVs, so the k-th DDL file renders schema k.
+  size_t ddl_files = 0;
+  for (const auto& file : corpus.files) {
+    if (!file.name.ends_with(".sql")) continue;
+    ASSERT_LT(ddl_files, corpus.scenario.set.num_schemas()) << file.name;
+    const schema::Schema& original =
+        corpus.scenario.set.schemas()[ddl_files++];
+    ASSERT_EQ(file.name, original.name() + ".sql");
+    // The rendered file parses back to the scenario's schema...
+    auto parsed = schema::ParseDdl(file.contents, original.name());
+    ASSERT_TRUE(parsed.ok())
+        << file.name << ": " << parsed.status().ToString();
+    ExpectSchemaEqual(original, *parsed);
+    // ...and that schema survives another WriteDdl/ParseDdl round.
     auto round_tripped =
-        schema::ParseDdl(schema::WriteDdl(original), original.name());
-    ASSERT_TRUE(round_tripped.ok());
-    ExpectSchemaEqual(original, *round_tripped);
+        schema::ParseDdl(schema::WriteDdl(*parsed), original.name());
+    ASSERT_TRUE(round_tripped.ok())
+        << file.name << ": " << round_tripped.status().ToString();
+    ExpectSchemaEqual(*parsed, *round_tripped);
   }
+  EXPECT_EQ(ddl_files, options.num_schemas);
 }
 
 TEST_P(GeneratedSchemaProperty, SignatureRowsAlignAfterStreamlining) {

@@ -100,7 +100,7 @@ if [[ "$RUN_ALL" -eq 1 ]]; then
   for bench in table2_datasets table3_cartesian table4_scoping_auc \
       fig5_oc3_curves fig6_oc3fo_curves fig7_ablation discussion_tradeoff \
       ablation_overhead ablation_encoders ablation_instances ablation_er \
-      ablation_valentine ablation_generalization; do
+      ablation_generalization; do
     echo "== $bench =="
     (cd "$OUT" && "$OLDPWD/$BUILD_DIR/bench/$bench")
   done
