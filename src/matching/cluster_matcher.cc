@@ -40,7 +40,8 @@ std::set<ElementPair> ClusterMatcher::Match(
                                                             rows.size() - 1),
                                            seed_);
       options.seed = seed_;
-      const std::vector<size_t> clusters = KMeansCluster(points, options);
+      const std::vector<size_t> clusters =
+          KMeansCluster(points, options).assignment;
 
       for (size_t i = 0; i < rows.size(); ++i) {
         for (size_t j = i + 1; j < rows.size(); ++j) {

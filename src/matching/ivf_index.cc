@@ -23,12 +23,17 @@ namespace {
 /// without starving the valid candidate list.
 constexpr size_t kPoolOversample = 4;
 
+/// Lloyd iterations of the coarse quantizer. With at least one, the
+/// k-Means centroids are the means of the final cells.
+constexpr int kQuantizerIterations = 25;
+
 }  // namespace
 
 IvfIndex::IvfIndex(linalg::Matrix vectors)
     : IvfIndex(std::move(vectors), Options()) {}
 
-IvfIndex::IvfIndex(linalg::Matrix vectors, const Options& options)
+IvfIndex::IvfIndex(linalg::Matrix vectors, const Options& options,
+                   ThreadPool* pool)
     : vectors_(std::move(vectors)), options_(options) {
   const size_t n = vectors_.rows();
   if (n == 0) return;
@@ -41,31 +46,26 @@ IvfIndex::IvfIndex(linalg::Matrix vectors, const Options& options)
 
   KMeansOptions kmeans;
   kmeans.k = num_lists;
-  kmeans.max_iterations = options_.kmeans_iterations;
+  kmeans.max_iterations = kQuantizerIterations;
   kmeans.seed = options_.seed;
-  const std::vector<size_t> assignment = KMeansCluster(vectors_, kmeans);
+  const KMeansResult quantizer = KMeansCluster(vectors_, kmeans, pool);
 
   // Bucket rows per cell (ascending ids by construction), then drop
   // empty cells so centroids_ row c always describes lists_[c].
   std::vector<std::vector<size_t>> cells(num_lists);
   for (size_t i = 0; i < n; ++i) {
-    COLSCOPE_CHECK(assignment[i] < num_lists);
-    cells[assignment[i]].push_back(i);
+    COLSCOPE_CHECK(quantizer.assignment[i] < num_lists);
+    cells[quantizer.assignment[i]].push_back(i);
   }
   size_t non_empty = 0;
   for (const auto& cell : cells) non_empty += cell.empty() ? 0 : 1;
   centroids_ = linalg::Matrix(non_empty, vectors_.cols());
   lists_.reserve(non_empty);
-  for (auto& cell : cells) {
-    if (cell.empty()) continue;
-    double* mean = centroids_.RowPtr(lists_.size());
-    for (size_t row : cell) {
-      const double* v = vectors_.RowPtr(row);
-      for (size_t d = 0; d < vectors_.cols(); ++d) mean[d] += v[d];
-    }
-    const double inv = 1.0 / static_cast<double>(cell.size());
-    for (size_t d = 0; d < vectors_.cols(); ++d) mean[d] *= inv;
-    lists_.push_back(std::move(cell));
+  for (size_t c = 0; c < num_lists; ++c) {
+    if (cells[c].empty()) continue;
+    std::copy_n(quantizer.centroids.RowPtr(c), vectors_.cols(),
+                centroids_.RowPtr(lists_.size()));
+    lists_.push_back(std::move(cells[c]));
   }
 
   if (options_.quantized) {
@@ -145,7 +145,7 @@ std::set<ElementPair> IvfMatcher::Match(
   index_options.quantized = options_.quantized;
   index_options.seed = options_.seed;
   const IvfIndex index(linalg::GatherRows(signatures.signatures, rows),
-                       index_options);
+                       index_options, pool_);
 
   std::set<std::pair<size_t, size_t>> allowed;
   if (options_.token_prefilter) {

@@ -34,10 +34,12 @@ namespace colscope::matching {
 /// the ranking FlatL2Index uses: (exact distance, id) order, and with
 /// `Options::quantized` its int8 prescan to k * rescore_factor rows.
 ///
-/// Deterministic: k-Means seeding, the centroid recomputation, every
-/// distance, and every tie-break are fixed by (vectors, Options), so
-/// Search results are bit-identical across runs, machines, and SIMD
-/// dispatch tables.
+/// Deterministic: the coarse quantizer (k-Means seeding, assignment and
+/// centroids, see matching/kmeans.h), every distance and every
+/// tie-break are fixed by (vectors, Options), so the cells, their
+/// centroids and every Search result are bit-identical across runs,
+/// machines, SIMD dispatch tables, and whether or not the build ran on
+/// a pool, at any thread count.
 class IvfIndex {
  public:
   struct Options {
@@ -49,14 +51,16 @@ class IvfIndex {
     bool quantized = false;
     /// Oversampling factor for the quantized rescoring pool.
     size_t rescore_factor = 4;
-    /// Lloyd iterations for the coarse quantizer.
-    int kmeans_iterations = 25;
     uint64_t seed = 0x1f5eed;
   };
 
   /// Indexes the rows of `vectors` (copied); default options.
   explicit IvfIndex(linalg::Matrix vectors);
-  IvfIndex(linalg::Matrix vectors, const Options& options);
+  /// With a `pool`, the coarse quantizer's k-Means runs on it (same
+  /// cells and centroids as without); construct on the caller thread
+  /// only, never inside a task on `pool`.
+  IvfIndex(linalg::Matrix vectors, const Options& options,
+           ThreadPool* pool = nullptr);
 
   /// Ids (row indices) of the `k` approximate nearest vectors to
   /// `query`, closest first, scanning Options::nprobe cells.
@@ -86,7 +90,8 @@ class IvfIndex {
 
   linalg::Matrix vectors_;
   Options options_;
-  /// One row per non-empty cell, recomputed as the mean of its members.
+  /// One row per non-empty cell: the k-Means centroid, which is the
+  /// mean of the cell's members.
   linalg::Matrix centroids_;
   /// lists_[c] = ascending row ids assigned to cell c.
   std::vector<std::vector<size_t>> lists_;
@@ -109,8 +114,9 @@ class IvfIndex {
 /// name token with the query survive — the ER-style cheap-candidate
 /// stage feeding expensive refinement.
 ///
-/// Deterministic at any thread count: per-query results depend only on
-/// (signatures, active, Options), and the per-query result slots are
+/// Deterministic at any thread count: the index is built on the pool
+/// with IvfIndex's bit-identical k-Means, per-query results depend only
+/// on (signatures, active, Options), and the per-query result slots are
 /// merged in index order, never in completion order.
 class IvfMatcher : public Matcher {
  public:

@@ -59,7 +59,7 @@ size_t SilhouetteBestK(const linalg::Matrix& points, size_t min_k,
     KMeansOptions options;
     options.k = k;
     options.seed = seed;
-    const auto assignment = KMeansCluster(points, options);
+    const auto assignment = KMeansCluster(points, options).assignment;
     const double score = MeanSilhouette(points, assignment);
     if (score > best_score) {
       best_score = score;

@@ -147,6 +147,35 @@ TEST(IvfIndexTest, QuantizedWithLargeRescorePoolMatchesExactRanking) {
   }
 }
 
+TEST(IvfIndexTest, PooledBuildMatchesSerialBuild) {
+  datasets::MatchingScenario scenario;
+  const auto signatures = CorpusSignatures(6, &scenario);
+  IvfIndex::Options options;
+  for (bool quantized : {false, true}) {
+    options.quantized = quantized;
+    const IvfIndex serial(signatures.signatures, options);
+    for (size_t threads : {2u, 4u}) {
+      ThreadPool pool(threads);
+      const IvfIndex pooled(signatures.signatures, options, &pool);
+      ASSERT_EQ(pooled.num_lists(), serial.num_lists());
+      for (size_t i = 0; i < signatures.size(); i += 7) {
+        const std::span<const double> query =
+            signatures.signatures.RowSpan(i);
+        for (size_t k : {1u, 10u, 40u}) {
+          for (size_t nprobe : {1u, 3u, 8u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "quantized=" << quantized << " threads="
+                         << threads << " row=" << i << " k=" << k
+                         << " nprobe=" << nprobe);
+            EXPECT_EQ(pooled.Search(query, k, nprobe),
+                      serial.Search(query, k, nprobe));
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(IvfIndexTest, ProbingIsSubLinear) {
   datasets::MatchingScenario scenario;
   const auto signatures = CorpusSignatures(8, &scenario);

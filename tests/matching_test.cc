@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <set>
+
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "datasets/toy.h"
 #include "embed/hashed_encoder.h"
 #include "matching/cluster_matcher.h"
@@ -50,7 +57,7 @@ TEST(KMeansTest, SeparatesTwoClusters) {
   }
   KMeansOptions options;
   options.k = 2;
-  const auto assign = KMeansCluster(points, options);
+  const auto assign = KMeansCluster(points, options).assignment;
   ASSERT_EQ(assign.size(), 8u);
   for (size_t i = 1; i < 4; ++i) EXPECT_EQ(assign[i], assign[0]);
   for (size_t i = 5; i < 8; ++i) EXPECT_EQ(assign[i], assign[4]);
@@ -63,7 +70,7 @@ TEST(KMeansTest, KLargerThanNClamps) {
   points(2, 0) = 2.0;
   KMeansOptions options;
   options.k = 10;
-  const auto assign = KMeansCluster(points, options);
+  const auto assign = KMeansCluster(points, options).assignment;
   for (size_t a : assign) EXPECT_LT(a, 3u);
 }
 
@@ -73,15 +80,118 @@ TEST(KMeansTest, DeterministicForSeed) {
   for (double& v : points.data()) v = rng.NextGaussian();
   KMeansOptions options;
   options.k = 4;
-  EXPECT_EQ(KMeansCluster(points, options), KMeansCluster(points, options));
+  EXPECT_EQ(KMeansCluster(points, options).assignment,
+            KMeansCluster(points, options).assignment);
+}
+
+void ExpectSameKMeans(const KMeansResult& got, const KMeansResult& want) {
+  EXPECT_EQ(got.assignment, want.assignment);
+  ASSERT_EQ(got.centroids.rows(), want.centroids.rows());
+  ASSERT_EQ(got.centroids.cols(), want.centroids.cols());
+  for (size_t i = 0; i < want.centroids.data().size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint64_t>(got.centroids.data()[i]),
+              std::bit_cast<uint64_t>(want.centroids.data()[i]))
+        << "centroid value " << i;
+  }
+}
+
+/// Runs `points` through KMeansCluster without a pool and on pools of
+/// 1, 2 and 4 threads, at 1 and 25 Lloyd iterations; every pooled
+/// result must carry the serial bits. Returns the serial 25-iteration
+/// result.
+KMeansResult ExpectPooledKMeansIdentical(const Matrix& points, size_t k) {
+  KMeansResult serial;
+  for (int iterations : {1, 25}) {
+    KMeansOptions options;
+    options.k = k;
+    options.max_iterations = iterations;
+    serial = KMeansCluster(points, options);
+    for (size_t threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "n=" << points.rows() << " d=" << points.cols()
+                   << " k=" << k << " iterations=" << iterations
+                   << " threads=" << threads);
+      ThreadPool pool(threads);
+      ExpectSameKMeans(KMeansCluster(points, options, &pool), serial);
+    }
+  }
+  return serial;
+}
+
+TEST(KMeansTest, PooledRunIsBitIdenticalToSerial) {
+  Rng rng(19);
+  for (size_t d : {3u, 768u}) {
+    for (size_t n : {1u, 2u, 31u, 32u, 33u, 101u}) {
+      Matrix points(n, d);
+      for (double& v : points.data()) v = rng.NextGaussian();
+      const size_t sqrt_n = static_cast<size_t>(
+          std::lround(std::sqrt(static_cast<double>(n))));
+      for (size_t k : std::set<size_t>{1, 2, sqrt_n, n}) {
+        ExpectPooledKMeansIdentical(points, k);
+      }
+    }
+  }
 }
 
 TEST(KMeansTest, IdenticalPointsAreSafe) {
-  Matrix points(6, 3, 1.0);
-  KMeansOptions options;
-  options.k = 3;
-  const auto assign = KMeansCluster(points, options);
-  EXPECT_EQ(assign.size(), 6u);
+  // All seeding distances are 0, so the seeding takes its total == 0
+  // branch; the pooled run must take it identically.
+  const KMeansResult result =
+      ExpectPooledKMeansIdentical(Matrix(40, 5, 1.0), 3);
+  EXPECT_EQ(result.assignment.size(), 40u);
+}
+
+TEST(KMeansTest, PooledRunKeepsAnEmptyClusterWhereItWas) {
+  // Three distinct positions and k = 5: once they are seeded the
+  // seeding total is 0, so the last two seeds repeat a position, lose
+  // every tie to the lower cluster id, and stay empty.
+  Matrix points(45, 4);
+  for (size_t i = 0; i < points.rows(); ++i) {
+    points(i, i % 3) = 10.0;
+  }
+  const KMeansResult result = ExpectPooledKMeansIdentical(points, 5);
+  const std::set<size_t> used(result.assignment.begin(),
+                              result.assignment.end());
+  ASSERT_EQ(used.size(), 3u);
+  for (size_t c = 0; c < 5; ++c) {
+    if (used.count(c) > 0) continue;
+    // An empty cluster keeps its seed, which is one of the points.
+    bool is_point = false;
+    for (size_t i = 0; i < 3; ++i) {
+      is_point = is_point || std::equal(points.RowPtr(i),
+                                        points.RowPtr(i) + points.cols(),
+                                        result.centroids.RowPtr(c));
+    }
+    EXPECT_TRUE(is_point) << "cluster " << c;
+  }
+}
+
+TEST(KMeansTest, CentroidsAreTheMeansOfTheFinalAssignment) {
+  Rng rng(23);
+  Matrix points(90, 16);
+  for (double& v : points.data()) v = rng.NextGaussian();
+  for (int iterations : {1, 2, 25}) {
+    KMeansOptions options;
+    options.k = 9;
+    options.max_iterations = iterations;
+    const KMeansResult result = KMeansCluster(points, options);
+    Matrix sums(options.k, points.cols());
+    std::vector<size_t> counts(options.k, 0);
+    for (size_t i = 0; i < points.rows(); ++i) {
+      const size_t c = result.assignment[i];
+      for (size_t j = 0; j < points.cols(); ++j) sums(c, j) += points(i, j);
+      ++counts[c];
+    }
+    for (size_t c = 0; c < options.k; ++c) {
+      if (counts[c] == 0) continue;
+      const double inv = 1.0 / static_cast<double>(counts[c]);
+      for (size_t j = 0; j < points.cols(); ++j) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(result.centroids(c, j)),
+                  std::bit_cast<uint64_t>(sums(c, j) * inv))
+            << "iterations " << iterations << " cluster " << c;
+      }
+    }
+  }
 }
 
 // --- FlatL2Index ------------------------------------------------------------------

@@ -1,5 +1,5 @@
 // Determinism tests for every pool-aware stage: signature encoding, SIM
-// matching, threshold sweeps, and local-model fitting must produce
+// and IVF matching, threshold sweeps, and local-model fitting must produce
 // byte-identical results with a pool of any size as they do serially.
 // The early-exit linkability assessment must equal the exhaustive pass,
 // and neural models must score safely from two threads. This binary is also part of the TSan suite
@@ -21,6 +21,7 @@
 #include "embed/hashed_encoder.h"
 #include "eval/sweep.h"
 #include "linalg/matrix.h"
+#include "matching/ivf_index.h"
 #include "matching/sim.h"
 #include "obs/metrics.h"
 #include "scoping/collaborative.h"
@@ -105,6 +106,30 @@ TEST(ParallelSimMatcherTest, LinkageSetIdenticalToSerial) {
   for (size_t threads : {2u, 8u}) {
     ThreadPool pool(threads);
     const matching::SimMatcher parallel(0.6, &pool);
+    EXPECT_EQ(parallel.Match(signatures, active), expected);
+  }
+}
+
+TEST(ParallelIvfMatcherTest, LinkageSetIdenticalToSerial) {
+  // 12 schemas x (4 tables + 32 attributes) = 432 rows: every pooled
+  // k-Means loop (14 row blocks of 32; one task per cell, 21 cells) and
+  // the per-query search span more tasks than the pool has threads.
+  datasets::CorpusOptions options;
+  options.num_schemas = 12;
+  options.tables_per_schema = 4;
+  options.attrs_per_table = 8;
+  options.seed = 77;
+  const auto scenario = datasets::BuildCorpusScenario(options);
+  embed::HashedLexiconEncoder encoder;
+  const auto signatures = scoping::BuildSignatures(scenario.set, encoder);
+  ASSERT_GE(signatures.size(), 400u);
+  const std::vector<bool> active(signatures.size(), true);
+  const matching::IvfMatcher::Options ivf;
+  const auto expected = matching::IvfMatcher(ivf).Match(signatures, active);
+  EXPECT_FALSE(expected.empty());
+  for (size_t threads : {2u, 4u}) {
+    ThreadPool pool(threads);
+    const matching::IvfMatcher parallel(ivf, &pool);
     EXPECT_EQ(parallel.Match(signatures, active), expected);
   }
 }
