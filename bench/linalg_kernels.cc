@@ -90,18 +90,6 @@ double Median(std::vector<double> xs) {
   return (n % 2 == 1) ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
 }
 
-/// Median-of-`reps` wall time of `fn`, in milliseconds. Median rather
-/// than min: the regression gate compares runs from different process
-/// lifetimes, and the median is far less sensitive to cache/frequency
-/// state than the best sample.
-double TimedMs(int reps, const std::function<void()>& fn,
-               double min_ms = 20.0) {
-  std::vector<double> samples;
-  samples.reserve(reps);
-  for (int r = 0; r < reps; ++r) samples.push_back(SampleMs(fn, min_ms));
-  return Median(std::move(samples));
-}
-
 struct PairTiming {
   double a_ms = 0.0;
   double b_ms = 0.0;
@@ -111,8 +99,10 @@ struct PairTiming {
 /// Times two kernels with *interleaved* samples: CPU frequency drift
 /// and scheduler noise hit adjacent samples about equally, so forming
 /// the ratio per rep (then taking the median) cancels it out of the
-/// speedup the regression gate tracks, where two independent TimedMs
-/// calls would not.
+/// speedup the regression gate tracks, where two independently timed
+/// medians would not. Median rather than min: the gate compares runs
+/// from different process lifetimes, and the median is far less
+/// sensitive to cache/frequency state than the best sample.
 PairTiming TimedPairMs(int reps, const std::function<void()>& a,
                        const std::function<void()>& b,
                        double min_ms = 50.0) {
@@ -570,14 +560,13 @@ int main(int argc, char** argv) {
       COLSCOPE_CHECK_MSG(model.ok(), model.status().ToString().c_str());
       return std::move(model).value();
     };
-    // The covariance path runs a d×d Jacobi — minutes of repetitions at
-    // 768 dims — so time a single pass; at seconds-long runtimes the
-    // relative noise a best-of-N would remove is already negligible.
-    const double cov_ms =
-        TimedMs(1, [&] { fit(linalg::PcaFitPath::kCovariance); }, 1.0);
-    const double gram_ms =
-        TimedMs(reps, [&] { fit(linalg::PcaFitPath::kGram); }, 50.0);
-    const double speedup = cov_ms / gram_ms;
+    // Interleaved like every other speedup cell, so host drift hits
+    // both sides of each per-rep ratio. One covariance pass (a d×d
+    // Jacobi) outlasts min_ms, so each rep times it once; at 768 dims
+    // that pass takes minutes, so the full run times one pair.
+    const auto [cov_ms, gram_ms, speedup] = TimedPairMs(
+        smoke ? reps : 1, [&] { fit(linalg::PcaFitPath::kCovariance); },
+        [&] { fit(linalg::PcaFitPath::kGram); });
     const double rows_per_s = pca_rows / (gram_ms / 1000.0);
     std::printf("pca_fit %zux%zu: covariance %.2f ms, gram %.2f ms "
                 "(%.1fx, %.0f rows/s)\n",

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <vector>
 
 #include "common/checksum.h"
@@ -46,14 +45,15 @@ bool ParseHex64(std::string_view token, uint64_t& out) {
   return true;
 }
 
-/// Reads `path` fully; false when it cannot be opened.
+/// Reads `path` fully into `out`, sized once from the file's length;
+/// false when it cannot be opened or read.
 bool ReadFileBytes(const std::string& path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  out = buffer.str();
-  return true;
+  const std::streamoff size = in.tellg();
+  if (size < 0 || !in.seekg(0)) return false;
+  out.resize(static_cast<size_t>(size));
+  return static_cast<bool>(in.read(out.data(), size));
 }
 
 }  // namespace
@@ -189,42 +189,38 @@ Result<std::string> ArtifactCache::Get(const CacheKey& key) {
   std::string contents;
   if (!ReadFileBytes(path, contents)) return miss(nullptr, "");
 
-  std::istringstream stream(contents);
-  std::string line;
-  if (!std::getline(stream, line) ||
-      StripAsciiWhitespace(line) != kEntryHeader) {
+  // The envelope lines are parsed in place; the payload is what remains.
+  std::string_view rest = contents;
+  std::string_view line;
+  if (!ConsumeLine(rest, line) || line != kEntryHeader) {
     return miss("cache.corrupt", "bad entry header");
   }
-  if (!std::getline(stream, line) || !StartsWith(line, "key ")) {
+  if (!ConsumeLine(rest, line) || !StartsWith(line, "key ")) {
     return miss("cache.corrupt", "missing key line");
   }
-  const std::string stored_key = line.substr(4);
-  if (!std::getline(stream, line) || !StartsWith(line, "bytes ")) {
+  const std::string_view stored_key = line.substr(4);
+  if (!StartsWith(rest, "bytes ")) {
     return miss("cache.corrupt", "missing bytes line");
   }
   uint64_t declared_bytes = 0;
-  if (!ParseUint64(std::string(StripAsciiWhitespace(line.substr(6))),
-                declared_bytes) ||
+  if (!ConsumeCountLine(rest, "bytes", declared_bytes) ||
       declared_bytes > kMaxPayloadBytes) {
     return miss("cache.corrupt", "malformed byte count");
   }
-  if (!std::getline(stream, line) || !StartsWith(line, "checksum ")) {
+  if (!ConsumeLine(rest, line) || !StartsWith(line, "checksum ")) {
     return miss("cache.corrupt", "missing checksum line");
   }
   uint64_t declared_sum = 0;
-  if (!ParseHex64(StripAsciiWhitespace(line.substr(9)), declared_sum)) {
+  if (!ParseHex64(line.substr(9), declared_sum)) {
     return miss("cache.corrupt", "malformed checksum");
   }
-  const std::streampos pos = stream.tellg();
-  if (pos < 0) return miss("cache.corrupt", "truncated before payload");
-  std::string payload = contents.substr(static_cast<size_t>(pos));
-  if (payload.size() != declared_bytes) {
+  if (rest.size() != declared_bytes) {
     return miss("cache.corrupt",
                 StrFormat("payload is %zu bytes, envelope declares %llu",
-                          payload.size(),
+                          rest.size(),
                           static_cast<unsigned long long>(declared_bytes)));
   }
-  if (Fnv1a64(payload) != declared_sum) {
+  if (Fnv1a64(rest) != declared_sum) {
     return miss("cache.corrupt", "payload checksum mismatch");
   }
   // Integrity holds but the stored key differs: a 64-bit fingerprint
@@ -240,7 +236,8 @@ Result<std::string> ArtifactCache::Get(const CacheKey& key) {
   fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
 
   Count("cache.hits");
-  return payload;
+  contents.erase(0, contents.size() - rest.size());
+  return contents;
 }
 
 Status ArtifactCache::Put(const CacheKey& key, std::string_view payload) {

@@ -1,53 +1,24 @@
 #include "cache/pipeline_cache.h"
 
+#include <algorithm>
 #include <optional>
-#include <sstream>
+#include <span>
 #include <utility>
 
+#include "cache/payloads.h"
 #include "common/checksum.h"
-#include "common/parse.h"
 #include "common/strings.h"
 #include "obs/log.h"
 #include "obs/trace.h"
 #include "schema/fingerprint.h"
-#include "scoping/io_util.h"
-#include "scoping/model_io.h"
 #include "scoping/signature_io.h"
 
 namespace colscope::cache {
 
 namespace {
 
-constexpr char kBaseDomain[] = "colscope-pipeline-cache v1";
+constexpr char kBaseDomain[] = "colscope-pipeline-cache v2";
 constexpr char kKeepBitsDomain[] = "colscope-keep-bits v1";
-constexpr char kModelSetDomain[] = "colscope-model-set-fingerprint v1";
-constexpr char kSigBlockHeader[] = "colscope-sig-block v1";
-constexpr char kSimBlockHeader[] = "colscope-sim-block v1";
-
-/// Parses "<key> <n>" with the shared strict-size discipline.
-bool ExpectSizeLine(std::istream& in, std::string_view key, size_t& out) {
-  std::string line;
-  if (!std::getline(in, line)) return false;
-  const std::vector<std::string> tokens =
-      SplitString(StripAsciiWhitespace(line), " \t");
-  return tokens.size() == 2 && tokens[0] == key &&
-         ParseSize(tokens[1], out);
-}
-
-/// Parses a table/attribute index: a non-negative decimal or exactly
-/// "-1" (the table-element marker).
-bool ParseRefIndex(const std::string& token, int& out) {
-  if (token == "-1") {
-    out = -1;
-    return true;
-  }
-  size_t value = 0;
-  if (!ParseSize(token, value) || value > size_t{1} << 30) {
-    return false;
-  }
-  out = static_cast<int>(value);
-  return true;
-}
 
 /// Fingerprint of one source's keep bits (row order within the source).
 uint64_t KeepBitsFingerprint(const std::vector<bool>& active,
@@ -56,122 +27,6 @@ uint64_t KeepBitsFingerprint(const std::vector<bool>& active,
   bits.reserve(rows.size());
   for (size_t row : rows) bits.push_back(active[row] ? '1' : '0');
   return Fnv1a64(bits, Fnv1a64(kKeepBitsDomain));
-}
-
-/// Position-dependent fingerprint of the whole fitted model set — any
-/// model change (or reorder) invalidates every cached keep slice, which
-/// is the conservative and cheap-to-recompute direction.
-uint64_t ModelSetFingerprint(
-    const std::vector<scoping::LocalModel>& models) {
-  uint64_t h = Fnv1a64(kModelSetDomain);
-  for (const scoping::LocalModel& model : models) {
-    h = Fnv1a64(scoping::SerializeLocalModel(model), h);
-    h = Fnv1a64("\x1f", h);
-  }
-  return h;
-}
-
-/// One source's encoded rows, %.17g round-trip exact.
-std::string SerializeSigBlock(const linalg::Matrix& rows) {
-  std::string out(kSigBlockHeader);
-  out += '\n';
-  out += StrFormat("rows %zu\n", rows.rows());
-  out += StrFormat("dims %zu\n", rows.cols());
-  for (size_t r = 0; r < rows.rows(); ++r) {
-    scoping::io::AppendVector(out, rows.Row(r));
-  }
-  return out;
-}
-
-/// Parses a sig block; nullopt on any malformation (callers recompute).
-/// `want_rows`/`want_dims` pin the expected shape — a block whose shape
-/// drifted from the current schema or encoder is unusable even when its
-/// own envelope is self-consistent.
-std::optional<linalg::Matrix> ParseSigBlock(const std::string& payload,
-                                            size_t want_rows,
-                                            size_t want_dims) {
-  std::istringstream stream(payload);
-  std::string line;
-  if (!std::getline(stream, line) ||
-      StripAsciiWhitespace(line) != kSigBlockHeader) {
-    return std::nullopt;
-  }
-  size_t rows = 0;
-  size_t dims = 0;
-  if (!ExpectSizeLine(stream, "rows", rows) ||
-      !ExpectSizeLine(stream, "dims", dims) || rows != want_rows ||
-      dims != want_dims) {
-    return std::nullopt;
-  }
-  linalg::Matrix out(rows, dims);
-  linalg::Vector row;
-  for (size_t r = 0; r < rows; ++r) {
-    if (!std::getline(stream, line) ||
-        !scoping::io::ParseVectorLine(line, dims, row).ok()) {
-      return std::nullopt;
-    }
-    out.SetRow(r, row);
-  }
-  if (std::getline(stream, line) && !StripAsciiWhitespace(line).empty()) {
-    return std::nullopt;
-  }
-  return out;
-}
-
-/// A similarity block's pairs in *relative* form — table/attribute
-/// indices only, no schema indices — so a block stays valid when its two
-/// sources move to different positions in the set.
-std::string SerializeSimBlock(const std::set<matching::ElementPair>& pairs,
-                              int schema_a) {
-  std::string out(kSimBlockHeader);
-  out += '\n';
-  out += StrFormat("pairs %zu\n", pairs.size());
-  for (const matching::ElementPair& pair : pairs) {
-    // Canonicalized pairs order by schema first, so `first` belongs to
-    // the lower-indexed source; emit the a-side ref first regardless of
-    // which side that is.
-    const schema::ElementRef& a_ref =
-        pair.first.schema == schema_a ? pair.first : pair.second;
-    const schema::ElementRef& b_ref =
-        pair.first.schema == schema_a ? pair.second : pair.first;
-    out += StrFormat("pair %d %d %d %d\n", a_ref.table, a_ref.attribute,
-                     b_ref.table, b_ref.attribute);
-  }
-  return out;
-}
-
-std::optional<std::set<matching::ElementPair>> ParseSimBlock(
-    const std::string& payload, int schema_a, int schema_b) {
-  std::istringstream stream(payload);
-  std::string line;
-  if (!std::getline(stream, line) ||
-      StripAsciiWhitespace(line) != kSimBlockHeader) {
-    return std::nullopt;
-  }
-  size_t count = 0;
-  if (!ExpectSizeLine(stream, "pairs", count) ||
-      count > size_t{1} << 30) {
-    return std::nullopt;
-  }
-  std::set<matching::ElementPair> out;
-  for (size_t i = 0; i < count; ++i) {
-    if (!std::getline(stream, line)) return std::nullopt;
-    const std::vector<std::string> tokens =
-        SplitString(StripAsciiWhitespace(line), " \t");
-    int at = 0, aa = 0, bt = 0, ba = 0;
-    if (tokens.size() != 5 || tokens[0] != "pair" ||
-        !ParseRefIndex(tokens[1], at) || !ParseRefIndex(tokens[2], aa) ||
-        !ParseRefIndex(tokens[3], bt) || !ParseRefIndex(tokens[4], ba)) {
-      return std::nullopt;
-    }
-    out.insert(matching::MakePair(
-        schema::ElementRef{schema_a, at, aa},
-        schema::ElementRef{schema_b, bt, ba}));
-  }
-  if (std::getline(stream, line) && !StripAsciiWhitespace(line).empty()) {
-    return std::nullopt;
-  }
-  return out;
 }
 
 }  // namespace
@@ -268,14 +123,12 @@ Result<scoping::SignatureSet> PipelineCache::BuildSignatures(
     const CacheKey key = SigKey(s);
     Result<std::string> payload = cache_->Get(key);
     if (payload.status().interrupted()) return payload.status();
+    // A hit decodes straight into this source's rows, which are
+    // contiguous in the row-major signature matrix.
+    const std::span<double> dest(out.signatures.RowPtr(first_row),
+                                 rows * dims);
     if (payload.ok()) {
-      if (std::optional<linalg::Matrix> block =
-              ParseSigBlock(*payload, rows, dims)) {
-        for (size_t r = 0; r < rows; ++r) {
-          out.signatures.SetRow(first_row + r, block->Row(r));
-        }
-        continue;
-      }
+      if (DecodeSigBlock(*payload, rows, dims, dest)) continue;
       COLSCOPE_LOG(Warn) << "unparseable cached signature block for source "
                          << s << "; re-encoding";
     }
@@ -289,10 +142,8 @@ Result<scoping::SignatureSet> PipelineCache::BuildSignatures(
       texts.push_back(element.text);
     }
     const linalg::Matrix block = encoder_->EncodeAll(texts, pool);
-    for (size_t r = 0; r < rows; ++r) {
-      out.signatures.SetRow(first_row + r, block.Row(r));
-    }
-    const Status put = cache_->Put(key, SerializeSigBlock(block));
+    std::copy(block.data().begin(), block.data().end(), dest.begin());
+    const Status put = cache_->Put(key, EncodeSigBlock(block));
     if (put.interrupted()) return put;
     if (!put.ok()) {
       COLSCOPE_LOG(Warn) << "cannot cache signature block for source " << s
@@ -319,8 +170,11 @@ Result<std::vector<scoping::LocalModel>> PipelineCache::FitLocalModels(
       missing.push_back(s);
       continue;
     }
+    // Stamp with the source's *current* index: model content is
+    // position-independent but phase III tells own from foreign models
+    // by index.
     Result<scoping::LocalModel> model =
-        scoping::DeserializeLocalModel(*payload);
+        DecodeModelBlock(*payload, static_cast<int>(s));
     if (!model.ok()) {
       COLSCOPE_LOG(Warn) << "unparseable cached model for source " << s
                          << ": " << model.status().ToString()
@@ -328,16 +182,7 @@ Result<std::vector<scoping::LocalModel>> PipelineCache::FitLocalModels(
       missing.push_back(s);
       continue;
     }
-    // Re-stamp to the source's *current* index: model content is
-    // position-independent but phase III tells own from foreign models
-    // by index.
-    Result<scoping::LocalModel> stamped = scoping::LocalModel::FromParts(
-        model->pca(), model->linkability_range(), static_cast<int>(s));
-    if (!stamped.ok()) {
-      missing.push_back(s);
-      continue;
-    }
-    slots[s] = std::move(stamped).value();
+    slots[s] = std::move(model).value();
   }
 
   // Fit the misses exactly as the uncached phase II would.
@@ -349,7 +194,7 @@ Result<std::vector<scoping::LocalModel>> PipelineCache::FitLocalModels(
   }
   for (size_t s : missing) {
     const Status put = cache_->Put(ModelKey(s, explained_variance),
-                                   scoping::SerializeLocalModel(*slots[s]));
+                                   EncodeModelBlock(*slots[s]));
     if (put.interrupted()) return put;
     if (!put.ok()) {
       COLSCOPE_LOG(Warn) << "cannot cache model for source " << s << ": "
@@ -428,8 +273,8 @@ Result<std::set<matching::ElementPair>> PipelineCache::Match(
       if (payload.status().interrupted()) return payload.status();
       if (payload.ok()) {
         if (std::optional<std::set<matching::ElementPair>> block =
-                ParseSimBlock(*payload, static_cast<int>(a),
-                              static_cast<int>(b))) {
+                DecodeSimBlock(*payload, static_cast<int>(a),
+                               static_cast<int>(b))) {
           out.insert(block->begin(), block->end());
           continue;
         }
@@ -440,7 +285,7 @@ Result<std::set<matching::ElementPair>> PipelineCache::Match(
           signatures, active, static_cast<int>(a), static_cast<int>(b));
       out.insert(block.begin(), block.end());
       const Status put =
-          cache_->Put(key, SerializeSimBlock(block, static_cast<int>(a)));
+          cache_->Put(key, EncodeSimBlock(block, static_cast<int>(a)));
       if (put.interrupted()) return put;
       if (!put.ok()) {
         COLSCOPE_LOG(Warn) << "cannot cache similarity block (" << a << ","

@@ -47,9 +47,13 @@ namespace colscope::cache {
 ///             keeps clean-pair blocks hitting, and only blocks touching
 ///             a dirty source recompute.
 ///
-/// Every payload is serialized with the repository's %.17g round-trip-
-/// exact discipline, so a warm run's report is byte-identical to the cold
-/// run that populated the cache, at any thread count.
+/// Signature blocks and models, the two large payloads, are stored as a
+/// short text header plus raw IEEE-754 doubles (cache/payloads.h): a hit
+/// restores the very bits the cold run computed, with no decimal text to
+/// parse or print, so a warm run's report is byte-identical to the cold
+/// run that populated the cache, at any thread count. The keep slices and
+/// similarity blocks are short text. Every decoder accepts only the
+/// bytes its encoder writes; anything else is a miss.
 ///
 /// Error contract: Cancelled / DeadlineExceeded from the underlying
 /// cache propagate (the run should stop, not grind on); every other

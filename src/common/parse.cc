@@ -46,4 +46,34 @@ std::vector<std::string> TokenizeLine(std::string_view line) {
   return SplitString(line, " \t");
 }
 
+bool ConsumeLine(std::string_view& text, std::string_view& line) {
+  const size_t newline = text.find('\n');
+  if (newline == std::string_view::npos) return false;
+  line = text.substr(0, newline);
+  text.remove_prefix(newline + 1);
+  return true;
+}
+
+bool ConsumeCountLine(std::string_view& text, std::string_view key,
+                      uint64_t& out) {
+  std::string_view rest = text;
+  std::string_view line;
+  if (!ConsumeLine(rest, line) || line.size() <= key.size() + 1 ||
+      !StartsWith(line, key) || line[key.size()] != ' ') {
+    return false;
+  }
+  const std::string_view digits = line.substr(key.size() + 1);
+  if (digits.size() > 1 && digits[0] == '0') return false;
+  uint64_t value = 0;
+  for (char c : digits) {
+    if (c < '0' || c > '9') return false;
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (value > (UINT64_MAX - digit) / 10) return false;
+    value = value * 10 + digit;
+  }
+  out = value;
+  text = rest;
+  return true;
+}
+
 }  // namespace colscope

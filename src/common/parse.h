@@ -33,6 +33,18 @@ bool ParseInt(const std::string& token, long long min, long long max,
 /// rejects: no encoder emits one, and no token may smuggle a separator.
 std::vector<std::string> TokenizeLine(std::string_view line);
 
+/// Splits the first '\n'-terminated line off the front of `text` into
+/// `line` (newline dropped). False, with `text` unchanged, when no
+/// newline remains: the header line was truncated.
+bool ConsumeLine(std::string_view& text, std::string_view& line);
+
+/// Consumes one "<key> <n>\n" header line whose count is written exactly
+/// as "%zu" prints it: one space, ASCII digits only, no redundant leading
+/// zero, no overflow. Decoders that must accept only the bytes their
+/// encoder writes (the artifact cache) read their counts with it.
+bool ConsumeCountLine(std::string_view& text, std::string_view key,
+                      uint64_t& out);
+
 }  // namespace colscope
 
 #endif  // COLSCOPE_COMMON_PARSE_H_

@@ -1,5 +1,7 @@
 #include "scoping/io_util.h"
 
+#include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/parse.h"
@@ -29,6 +31,21 @@ void AppendVector(std::string& out, const linalg::Vector& v) {
     out += StrFormat("%.17g", v[i]);
   }
   out += '\n';
+}
+
+void AppendRawDoubles(std::string& out, std::span<const double> values) {
+  out.append(reinterpret_cast<const char*>(values.data()),
+             values.size_bytes());
+}
+
+bool ReadRawDoubles(std::string_view& in, std::span<double> out) {
+  if (in.size() < out.size_bytes()) return false;
+  if (!out.empty()) std::memcpy(out.data(), in.data(), out.size_bytes());
+  for (double value : out) {
+    if (!std::isfinite(value)) return false;
+  }
+  in.remove_prefix(out.size_bytes());
+  return true;
 }
 
 }  // namespace colscope::scoping::io

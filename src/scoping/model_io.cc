@@ -16,14 +16,6 @@ using io::ParseVectorLine;
 
 constexpr char kHeader[] = "colscope-local-model v1";
 
-// A deserialized model is exchanged over an untrusted transport, so its
-// declared shape bounds what we are willing to allocate: dims and
-// components are capped individually and jointly (the pc matrix is
-// dims * components doubles) before any allocation happens.
-constexpr size_t kMaxDims = size_t{1} << 20;
-constexpr size_t kMaxComponents = size_t{1} << 16;
-constexpr size_t kMaxTotalValues = size_t{1} << 24;
-
 /// Parses a decimal int in [-1, INT_MAX] (−1 is the "anonymous peer"
 /// schema index); false on garbage or out-of-range values.
 bool ParseSchemaIndex(const std::string& token, int& out) {

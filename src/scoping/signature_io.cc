@@ -1,15 +1,11 @@
 #include "scoping/signature_io.h"
 
-#include <sstream>
-
 #include "common/parse.h"
 #include "common/strings.h"
-#include "scoping/io_util.h"
 
 namespace colscope::scoping {
 
 namespace {
-
 
 constexpr char kMaskHeader[] = "colscope-keep-mask v1";
 
@@ -30,38 +26,24 @@ std::string SerializeKeepMask(const std::vector<bool>& keep) {
   return out;
 }
 
-Result<std::vector<bool>> DeserializeKeepMask(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || StripAsciiWhitespace(line) != kMaskHeader) {
+Result<std::vector<bool>> DeserializeKeepMask(std::string_view text) {
+  std::string_view line;
+  if (!ConsumeLine(text, line) || line != kMaskHeader) {
     return Status::InvalidArgument("missing or unsupported keep-mask header");
   }
-  if (!std::getline(in, line)) {
-    return Status::InvalidArgument("missing elements count");
-  }
-  std::vector<std::string> tokens =
-      SplitString(StripAsciiWhitespace(line), " \t");
-  size_t elements = 0;
-  if (tokens.size() != 2 || tokens[0] != "elements" ||
-      !ParseSize(tokens[1], elements) || elements > kMaxElements) {
+  uint64_t elements = 0;
+  if (!ConsumeCountLine(text, "elements", elements) ||
+      elements > kMaxElements) {
     return Status::InvalidArgument("malformed elements count line");
   }
-  if (!std::getline(in, line)) {
+  if (!ConsumeLine(text, line) || !StartsWith(line, "mask ")) {
     return Status::InvalidArgument("missing mask line");
   }
-  const std::string_view mask_line = StripAsciiWhitespace(line);
-  if (!StartsWith(mask_line, "mask")) {
-    return Status::InvalidArgument("missing mask line");
-  }
-  const std::string_view bits =
-      elements == 0 ? std::string_view() : mask_line.substr(5);
-  if (elements > 0 && (mask_line.size() < 5 || mask_line[4] != ' ')) {
-    return Status::InvalidArgument("malformed mask line");
-  }
+  const std::string_view bits = line.substr(5);
   if (bits.size() != elements) {
     return Status::InvalidArgument(
-        StrFormat("mask declares %zu elements, found %zu bits", elements,
-                  bits.size()));
+        StrFormat("mask declares %zu elements, found %zu bits",
+                  static_cast<size_t>(elements), bits.size()));
   }
   std::vector<bool> keep(elements, false);
   for (size_t i = 0; i < elements; ++i) {
@@ -72,10 +54,8 @@ Result<std::vector<bool>> DeserializeKeepMask(const std::string& text) {
           StrFormat("mask bit %zu is not 0/1", i));
     }
   }
-  while (std::getline(in, line)) {
-    if (!StripAsciiWhitespace(line).empty()) {
-      return Status::InvalidArgument("trailing garbage after mask");
-    }
+  if (!text.empty()) {
+    return Status::InvalidArgument("trailing bytes after mask");
   }
   return keep;
 }

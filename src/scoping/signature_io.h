@@ -2,6 +2,7 @@
 #define COLSCOPE_SCOPING_SIGNATURE_IO_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -15,9 +16,11 @@ namespace colscope::scoping {
 ///   mask <n characters, each '0' or '1'>
 std::string SerializeKeepMask(const std::vector<bool>& keep);
 
-/// Parses a keep mask; fails on shape mismatch or any character outside
-/// {'0','1'}.
-Result<std::vector<bool>> DeserializeKeepMask(const std::string& text);
+/// Parses a keep mask; fails on shape mismatch, any character outside
+/// {'0','1'}, or any byte SerializeKeepMask would not have written
+/// (whitespace variants, a padded count, trailing bytes), so an accepted
+/// mask re-serializes to exactly `text`.
+Result<std::vector<bool>> DeserializeKeepMask(std::string_view text);
 
 }  // namespace colscope::scoping
 

@@ -7,7 +7,8 @@
 #      disk — plus the SIMD/int8 kernel equivalence battery (unaligned
 #      loads, padded quantized stores — exactly what ASan is for) and
 #      the linalg kernel tests, whose PCA row body reads the components
-#      through the strided column-dot kernel;
+#      through the strided column-dot kernel; then the long seeded
+#      mutation pass over the cache decoders;
 #   2. TSan over the concurrency-facing tests (thread pool, metrics
 #      registry, cancellation tokens, and the shared serving loop that
 #      the distributed worker and colscoped drive from many connection
@@ -36,6 +37,10 @@ cmake --build "$build" -j \
   --target exchange_test model_corruption_test model_io_test robustness_test \
   simd_kernels_test linalg_kernels_test cache_test pipeline_test
 (cd "$build" && ctest --output-on-failure -R "^($asan_tests)\$")
+# The long seeded mutation pass over the cache decoders (tier-1 runs the
+# short one).
+"$build/tests/cache_test" --gtest_also_run_disabled_tests \
+  --gtest_filter='PayloadMutationTest.*'
 
 # shellcheck disable=SC2086
 cmake -B "$build-tsan" -S "$root" $launcher_flags \
