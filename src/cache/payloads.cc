@@ -27,17 +27,11 @@ size_t ModelBodyDoubles(size_t dims, size_t components) {
   return 1 + dims + components * dims;
 }
 
-/// Parses a table/attribute index: a non-negative decimal or exactly
-/// "-1" (the table-element marker).
+/// Parses a table/attribute index: -1 (the table-element marker) up to
+/// 2^30.
 bool ParseRefIndex(const std::string& token, int& out) {
-  if (token == "-1") {
-    out = -1;
-    return true;
-  }
-  size_t value = 0;
-  if (!ParseSize(token, value) || value > size_t{1} << 30) {
-    return false;
-  }
+  long long value = 0;
+  if (!ParseInt(token, -1, 1LL << 30, value)) return false;
   out = static_cast<int>(value);
   return true;
 }
@@ -174,8 +168,8 @@ std::optional<std::set<matching::ElementPair>> DecodeSimBlock(
         !ParseRefIndex(tokens[4], b.attribute) || SimPairLine(a, b) != line) {
       return std::nullopt;
     }
-    // The encoder writes the set in order: a duplicate or out-of-order
-    // pair cannot come from it.
+    // Only the encoder's exact line is accepted, and it writes the set
+    // in order: a duplicate or out-of-order pair cannot come from it.
     const matching::ElementPair pair = matching::MakePair(a, b);
     if (!out.empty() && !(*out.rbegin() < pair)) return std::nullopt;
     out.emplace_hint(out.end(), pair);
