@@ -1,7 +1,7 @@
 // Kernel microbenchmarks for the linalg hot paths: the dispatched
 // dot-per-cell Multiply vs the naive triple loop, the fused
 // MultiplyTransposedB (A·Bᵀ) vs materializing the transpose, the
-// runtime-dispatched 768-dim span kernels (dot / cosine / MSE) vs the
+// runtime-dispatched 768-dim span kernels (dot / MSE) vs the
 // scalar reference table, the PCA decode's one dot_columns call vs d
 // per-column dots, the int8 quantized-store scan vs the double
 // scan, quantized top-k recall on the paper corpora, and the Gram-trick
@@ -29,10 +29,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <functional>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -179,19 +177,6 @@ linalg::Matrix ScalarDotMultiply(const linalg::Matrix& a,
   return out;
 }
 
-/// Ulp distance between two finite doubles (sign-folded two's
-/// complement order), for bounding dot_fast against the contract dot.
-uint64_t UlpDistance(double a, double b) {
-  auto ordered = [](double x) {
-    uint64_t bits;
-    std::memcpy(&bits, &x, sizeof(bits));
-    return (bits & (1ull << 63)) ? ~bits + 1 : bits | (1ull << 63);
-  };
-  const uint64_t ua = ordered(a);
-  const uint64_t ub = ordered(b);
-  return ua > ub ? ua - ub : ub - ua;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -306,12 +291,6 @@ int main(int argc, char** argv) {
     const SpanCase cases[] = {
         {"dot",
          [&](const auto& t, const double* row) { return t.dot(row, q, d); }},
-        {"cosine",
-         [&](const auto& t, const double* row) {
-           double ab = 0.0, aa = 0.0, bb = 0.0;
-           t.cosine_terms(row, q, d, &ab, &aa, &bb);
-           return aa > 0.0 && bb > 0.0 ? ab / std::sqrt(aa * bb) : 0.0;
-         }},
         {"mse",
          [&](const auto& t, const double* row) {
            return t.squared_l2(row, q, d) / static_cast<double>(d);
@@ -342,48 +321,6 @@ int main(int argc, char** argv) {
            {StrFormat("span_%s_speedup", c.name), speedup},
            {"simd_active", simd_active},
            {StrFormat("span_%s_ok", c.name), ok ? 1.0 : 0.0}});
-    }
-
-    // dot_fast: the opt-in FMA path. Off the determinism contract, so
-    // the gate here is the standard forward error bound
-    // |dot - dot_fast| <= 2*n*eps*sum|a[i]*b[i]| rather than
-    // bit-identity (scalar tables alias dot_fast to dot, making the
-    // error trivially 0 there). The max ulp distance is reported as an
-    // informational cell only — it legitimately blows up when a dot
-    // lands near zero through cancellation.
-    {
-      volatile double sink = 0.0;
-      const auto run = [&](auto fn) {
-        double acc = 0.0;
-        for (size_t r = 0; r < rows; ++r) acc += fn(block.RowPtr(r), q, d);
-        sink = acc;
-      };
-      const auto [dot_ms, fast_ms, speedup] = TimedPairMs(
-          reps, [&] { run(active.dot); }, [&] { run(active.dot_fast); });
-      uint64_t max_ulp = 0;
-      bool ok = true;
-      for (size_t r = 0; r < rows; ++r) {
-        const double* a = block.RowPtr(r);
-        const double exact = active.dot(a, q, d);
-        const double fast = active.dot_fast(a, q, d);
-        max_ulp = std::max(max_ulp, UlpDistance(exact, fast));
-        double absdot = 0.0;
-        for (size_t i = 0; i < d; ++i) absdot += std::fabs(a[i] * q[i]);
-        ok = ok && std::fabs(exact - fast) <=
-                       2.0 * static_cast<double>(d) *
-                           std::numeric_limits<double>::epsilon() * absdot;
-      }
-      (void)sink;
-      std::printf("span_dot_fast %zud x %zu rows: dot %.3f ms, fast %.3f ms "
-                  "(%.2fx), max ulp %llu, within error bound: %s\n",
-                  d, rows, dot_ms, fast_ms, speedup,
-                  static_cast<unsigned long long>(max_ulp), ok ? "yes" : "NO");
-      report.AddRow("span_kernels", StrFormat("dot_fast_%zud", d),
-                    {{"dot_wall_ms", dot_ms},
-                     {"fast_wall_ms", fast_ms},
-                     {"dot_fast_max_ulp", static_cast<double>(max_ulp)},
-                     {"simd_active", simd_active},
-                     {"dot_fast_err_ok", ok ? 1.0 : 0.0}});
     }
   }
 
@@ -457,10 +394,7 @@ int main(int argc, char** argv) {
     const embed::QuantizedSignatureStore store(sigs);
     const linalg::Matrix qm = RandomMatrix(1, d, 0x178b);
     std::vector<double> query(qm.RowPtr(0), qm.RowPtr(0) + d);
-    std::vector<int8_t> qcodes;
-    double qnorm2 = 0.0;
-    double ql1 = 0.0;
-    const double qscale = store.QuantizeQuery(query, &qcodes, &qnorm2, &ql1);
+    const embed::QuantizedQuery q = store.Quantize(query);
     const auto& active = linalg::simd::Active();
 
     volatile double sink = 0.0;
@@ -476,7 +410,7 @@ int main(int argc, char** argv) {
         [&] {
           double acc = 0.0;
           for (size_t r = 0; r < rows; ++r) {
-            acc += store.ApproxDot(r, qcodes.data(), qscale);
+            acc += store.ApproxDot(r, q);
           }
           sink = acc;
         });
@@ -485,11 +419,11 @@ int main(int argc, char** argv) {
     bool within_bound = true;
     for (size_t r = 0; r < rows; ++r) {
       const double exact = active.dot(sigs.RowPtr(r), query.data(), d);
-      const double approx = store.ApproxDot(r, qcodes.data(), qscale);
+      const double approx = store.ApproxDot(r, q);
       const double err = std::abs(exact - approx);
       max_err = std::max(max_err, err);
       within_bound =
-          within_bound && err <= store.DotErrorBound(r, qscale, ql1);
+          within_bound && err <= store.DotErrorBound(r, q.scale, q.l1);
     }
     std::printf("int8_scan %zud x %zu rows: double %.3f ms, int8 %.3f ms "
                 "(%.2fx), max |err| %.3e, within bound: %s\n",

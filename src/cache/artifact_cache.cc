@@ -166,7 +166,8 @@ void ArtifactCache::SetBytesGauge() {
   }
 }
 
-Result<std::string> ArtifactCache::Get(const CacheKey& key) {
+Result<std::string> ArtifactCache::Get(const CacheKey& key,
+                                       const Accept& accept) {
   COLSCOPE_RETURN_IF_ERROR(Interrupted());
   obs::ScopedHistogramTimer timer(
       options_.metrics == nullptr
@@ -229,6 +230,9 @@ Result<std::string> ArtifactCache::Get(const CacheKey& key) {
   if (stored_key != key.text) {
     return miss("cache.collisions",
                 "key text mismatch (fingerprint collision)");
+  }
+  if (accept && !accept(rest)) {
+    return miss("cache.corrupt", "payload rejected by its decoder");
   }
 
   // Refresh recency for LRU; best-effort (a read-only cache still hits).

@@ -2,6 +2,7 @@
 #define COLSCOPE_CACHE_ARTIFACT_CACHE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -92,13 +93,18 @@ class ArtifactCache {
   ArtifactCache(ArtifactCache&&) = default;
   ArtifactCache& operator=(ArtifactCache&&) = default;
 
+  /// The payload decoder of a lookup: true when the payload decodes
+  /// (the decoder keeps what it decoded), false to reject it.
+  using Accept = std::function<bool(std::string_view payload)>;
+
   /// Looks up `key`. NotFound on a miss (counted cache.misses) — which
-  /// includes corrupt, truncated, or hash-colliding entries (also counted
+  /// includes corrupt, truncated, or hash-colliding entries and intact
+  /// payloads that `accept` (when given) rejects (also counted
   /// cache.corrupt / cache.collisions); a cache read problem is never an
   /// error, just a reason to recompute. Cancelled / DeadlineExceeded when
   /// the run should stop instead of reading. A hit (counted cache.hits)
   /// returns the payload and refreshes the entry's recency.
-  Result<std::string> Get(const CacheKey& key);
+  Result<std::string> Get(const CacheKey& key, const Accept& accept = {});
 
   /// Atomically persists `payload` under `key`, overwriting any previous
   /// entry, then enforces the size cap. Failures are real errors;

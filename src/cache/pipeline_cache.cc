@@ -121,17 +121,16 @@ Result<scoping::SignatureSet> PipelineCache::BuildSignatures(
     next_row += rows;
 
     const CacheKey key = SigKey(s);
-    Result<std::string> payload = cache_->Get(key);
-    if (payload.status().interrupted()) return payload.status();
     // A hit decodes straight into this source's rows, which are
     // contiguous in the row-major signature matrix.
     const std::span<double> dest(out.signatures.RowPtr(first_row),
                                  rows * dims);
-    if (payload.ok()) {
-      if (DecodeSigBlock(*payload, rows, dims, dest)) continue;
-      COLSCOPE_LOG(Warn) << "unparseable cached signature block for source "
-                         << s << "; re-encoding";
-    }
+    const Result<std::string> payload =
+        cache_->Get(key, [&](std::string_view bytes) {
+          return DecodeSigBlock(bytes, rows, dims, dest);
+        });
+    if (payload.status().interrupted()) return payload.status();
+    if (payload.ok()) continue;
 
     // Miss: encode just this source's texts. Each row depends only on
     // its own text, so the result is byte-identical to encoding it
@@ -163,26 +162,19 @@ Result<std::vector<scoping::LocalModel>> PipelineCache::FitLocalModels(
   std::vector<size_t> missing;
 
   for (size_t s = 0; s < num_schemas; ++s) {
-    Result<std::string> payload =
-        cache_->Get(ModelKey(s, explained_variance));
-    if (!payload.ok()) {
-      if (payload.status().interrupted()) return payload.status();
-      missing.push_back(s);
-      continue;
-    }
     // Stamp with the source's *current* index: model content is
     // position-independent but phase III tells own from foreign models
     // by index.
-    Result<scoping::LocalModel> model =
-        DecodeModelBlock(*payload, static_cast<int>(s));
-    if (!model.ok()) {
-      COLSCOPE_LOG(Warn) << "unparseable cached model for source " << s
-                         << ": " << model.status().ToString()
-                         << "; refitting";
-      missing.push_back(s);
-      continue;
-    }
-    slots[s] = std::move(model).value();
+    const Result<std::string> payload = cache_->Get(
+        ModelKey(s, explained_variance), [&](std::string_view bytes) {
+          Result<scoping::LocalModel> model =
+              DecodeModelBlock(bytes, static_cast<int>(s));
+          if (!model.ok()) return false;
+          slots[s] = std::move(model).value();
+          return true;
+        });
+    if (payload.status().interrupted()) return payload.status();
+    if (!payload.ok()) missing.push_back(s);
   }
 
   // Fit the misses exactly as the uncached phase II would.
@@ -219,18 +211,22 @@ Result<std::vector<bool>> PipelineCache::AssessAll(
       [&](int schema) -> Result<std::vector<bool>> {
         const size_t s = static_cast<size_t>(schema);
         const CacheKey key = KeepKey(s, models_fp);
-        Result<std::string> payload = cache_->Get(key);
+        std::vector<bool> cached;
+        const Result<std::string> payload =
+            cache_->Get(key, [&](std::string_view bytes) {
+              Result<std::vector<bool>> slice =
+                  scoping::DeserializeKeepMask(bytes);
+              if (!slice.ok() || slice->size() != serialized_[s].size()) {
+                return false;
+              }
+              cached = std::move(slice).value();
+              return true;
+            });
         if (payload.status().interrupted()) return payload.status();
         if (payload.ok()) {
-          Result<std::vector<bool>> slice =
-              scoping::DeserializeKeepMask(*payload);
-          if (slice.ok() && slice->size() == serialized_[s].size()) {
-            passes.exhaustive +=
-                slice->size() * scoping::ForeignModels(models, schema);
-            return slice;
-          }
-          COLSCOPE_LOG(Warn) << "unparseable cached keep slice for source "
-                             << s << "; reassessing";
+          passes.exhaustive +=
+              cached.size() * scoping::ForeignModels(models, schema);
+          return cached;
         }
 
         std::vector<bool> linkable = scoping::AssessLinkability(
@@ -269,18 +265,17 @@ Result<std::set<matching::ElementPair>> PipelineCache::Match(
     for (size_t b = a + 1; b < num_schemas; ++b) {
       const CacheKey key =
           SimBlockKey(matcher, a, keep_fps[a], b, keep_fps[b]);
-      Result<std::string> payload = cache_->Get(key);
+      const Result<std::string> payload =
+          cache_->Get(key, [&](std::string_view bytes) {
+            std::optional<std::set<matching::ElementPair>> block =
+                DecodeSimBlock(bytes, static_cast<int>(a),
+                               static_cast<int>(b));
+            if (!block.has_value()) return false;
+            out.insert(block->begin(), block->end());
+            return true;
+          });
       if (payload.status().interrupted()) return payload.status();
-      if (payload.ok()) {
-        if (std::optional<std::set<matching::ElementPair>> block =
-                DecodeSimBlock(*payload, static_cast<int>(a),
-                               static_cast<int>(b))) {
-          out.insert(block->begin(), block->end());
-          continue;
-        }
-        COLSCOPE_LOG(Warn) << "unparseable cached similarity block ("
-                           << a << "," << b << "); rematching";
-      }
+      if (payload.ok()) continue;
       const std::set<matching::ElementPair> block = matcher.MatchBlock(
           signatures, active, static_cast<int>(a), static_cast<int>(b));
       out.insert(block.begin(), block.end());

@@ -34,7 +34,7 @@ double QuantizeRow(const double* row, size_t n, int8_t* out) {
 
 /// Plain sequential L1 norm. Build-time only, and deliberately not a
 /// dispatched kernel: the same bits on every table keeps the error
-/// bound identical across --kernels settings.
+/// bound identical with or without COLSCOPE_FORCE_SCALAR.
 double L1Norm(const double* row, size_t n) {
   double sum = 0.0;
   for (size_t c = 0; c < n; ++c) sum += std::fabs(row[c]);
@@ -61,19 +61,15 @@ QuantizedSignatureStore::QuantizedSignatureStore(
   }
 }
 
-double QuantizedSignatureStore::QuantizeQuery(std::span<const double> query,
-                                              std::vector<int8_t>* codes,
-                                              double* exact_norm2,
-                                              double* exact_l1) const {
+QuantizedQuery QuantizedSignatureStore::Quantize(
+    std::span<const double> query) const {
   COLSCOPE_CHECK(query.size() == cols_);
-  codes->assign(stride_, 0);
-  const double scale = QuantizeRow(query.data(), cols_, codes->data());
-  if (exact_norm2 != nullptr) {
-    *exact_norm2 =
-        linalg::simd::Active().dot(query.data(), query.data(), cols_);
-  }
-  if (exact_l1 != nullptr) *exact_l1 = L1Norm(query.data(), cols_);
-  return scale;
+  QuantizedQuery q;
+  q.codes.assign(stride_, 0);
+  q.scale = QuantizeRow(query.data(), cols_, q.codes.data());
+  q.norm2 = linalg::simd::Active().dot(query.data(), query.data(), cols_);
+  q.l1 = L1Norm(query.data(), cols_);
+  return q;
 }
 
 double QuantizedSignatureStore::ApproxDot(size_t r, size_t s) const {
@@ -85,38 +81,18 @@ double QuantizedSignatureStore::ApproxDot(size_t r, size_t s) const {
   return scales_[r] * scales_[s] * static_cast<double>(d);
 }
 
-double QuantizedSignatureStore::ApproxDot(size_t r, const int8_t* query_codes,
-                                          double query_scale) const {
-  COLSCOPE_CHECK(r < rows_);
+double QuantizedSignatureStore::ApproxDot(size_t r,
+                                          const QuantizedQuery& query) const {
+  COLSCOPE_CHECK(r < rows_ && query.codes.size() == stride_);
   const int64_t d =
-      linalg::simd::Active().dot_i8(RowCodes(r), query_codes, stride_);
-  return scales_[r] * query_scale * static_cast<double>(d);
+      linalg::simd::Active().dot_i8(RowCodes(r), query.codes.data(), stride_);
+  return scales_[r] * query.scale * static_cast<double>(d);
 }
 
-double QuantizedSignatureStore::ApproxSquaredL2(size_t r,
-                                                const int8_t* query_codes,
-                                                double query_scale,
-                                                double query_norm2) const {
-  const double cross = ApproxDot(r, query_codes, query_scale);
-  const double d2 = norm2_[r] + query_norm2 - 2.0 * cross;
+double QuantizedSignatureStore::ApproxSquaredL2(
+    size_t r, const QuantizedQuery& query) const {
+  const double d2 = norm2_[r] + query.norm2 - 2.0 * ApproxDot(r, query);
   return d2 > 0.0 ? d2 : 0.0;
-}
-
-QuantizedQuery QuantizedSignatureStore::Quantize(
-    std::span<const double> query) const {
-  QuantizedQuery q;
-  q.scale = QuantizeQuery(query, &q.codes, &q.norm2, &q.l1);
-  return q;
-}
-
-double QuantizedSignatureStore::ApproxCosine(size_t r,
-                                             const int8_t* query_codes,
-                                             double query_scale,
-                                             double query_norm2) const {
-  COLSCOPE_CHECK(r < rows_);
-  if (norm2_[r] == 0.0 || query_norm2 == 0.0) return 0.0;
-  return ApproxDot(r, query_codes, query_scale) /
-         (std::sqrt(norm2_[r]) * std::sqrt(query_norm2));
 }
 
 double QuantizedSignatureStore::DotErrorBound(size_t r, double query_scale,

@@ -34,8 +34,6 @@ namespace colscope::embed {
 /// A query vector quantized against a store's geometry: the int8 codes
 /// (padded to the store's stride, padding zeroed), the scale, and the
 /// exact norms the approximate kernels and the error bound take.
-/// Bundles QuantizeQuery's out-parameters so search loops (flat_index,
-/// ivf_index) can thread one value instead of four.
 struct QuantizedQuery {
   std::vector<int8_t> codes;
   double scale = 0.0;
@@ -67,34 +65,20 @@ class QuantizedSignatureStore {
   /// the dequantization error bound is stated in (see DotErrorBound).
   double RowL1(size_t r) const { return l1_[r]; }
 
-  /// Quantizes an external query vector (size cols()) into `codes`
-  /// (resized to stride(), padding zeroed) and returns its scale.
-  /// `exact_norm2` / `exact_l1`, when non-null, receive the exact
-  /// squared L2 norm and L1 norm of the query.
-  double QuantizeQuery(std::span<const double> query,
-                       std::vector<int8_t>* codes,
-                       double* exact_norm2 = nullptr,
-                       double* exact_l1 = nullptr) const;
-
-  /// QuantizeQuery with the outputs bundled into one QuantizedQuery.
+  /// Quantizes an external query vector (size cols()) exactly as a
+  /// stored row is quantized: codes padded to stride(), the scale, and
+  /// the query's exact squared L2 and L1 norms.
   QuantizedQuery Quantize(std::span<const double> query) const;
 
   /// Approximate dot product between stored rows `r` and `s`.
   double ApproxDot(size_t r, size_t s) const;
 
   /// Approximate dot between stored row `r` and a quantized query.
-  double ApproxDot(size_t r, const int8_t* query_codes,
-                   double query_scale) const;
+  double ApproxDot(size_t r, const QuantizedQuery& query) const;
 
   /// Approximate squared L2 distance via the exact norms and the
   /// approximate cross term.
-  double ApproxSquaredL2(size_t r, const int8_t* query_codes,
-                         double query_scale, double query_norm2) const;
-
-  /// Approximate cosine similarity between stored row `r` and a
-  /// quantized query (0 when either side has zero norm).
-  double ApproxCosine(size_t r, const int8_t* query_codes, double query_scale,
-                      double query_norm2) const;
+  double ApproxSquaredL2(size_t r, const QuantizedQuery& query) const;
 
   /// Upper bound on |exact_dot - approx_dot| for stored row `r` against
   /// a query with the given scale and exact *L1* norm. Writing a' / b'

@@ -69,8 +69,8 @@ class Matrix {
 
   /// this (m x k) * other (k x n) -> (m x n). Every output cell is one
   /// dispatched span-kernel dot (see linalg/simd/kernels.h), so the
-  /// result is bit-identical across SIMD ISAs, `--kernels` settings,
-  /// and thread counts — and bit-identical to MultiplyTransposedB of
+  /// result is bit-identical across SIMD ISAs, with or without
+  /// COLSCOPE_FORCE_SCALAR, and at any thread count — and bit-identical to MultiplyTransposedB of
   /// the transposed operand, which it is implemented as.
   Matrix Multiply(const Matrix& other) const;
 

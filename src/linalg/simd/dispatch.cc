@@ -1,11 +1,10 @@
 // Runtime kernel dispatch. The decision is made once (first Active()
-// call), cached in an atomic pointer, and can be overridden explicitly
-// by ForceMode() — the CLI's `--kernels` flag — or by setting the
-// COLSCOPE_FORCE_SCALAR environment variable before startup.
+// call) and cached in an atomic pointer; setting the
+// COLSCOPE_FORCE_SCALAR environment variable before startup pins the
+// scalar reference.
 
 #include <atomic>
 #include <cstdlib>
-#include <string>
 
 #include "linalg/simd/kernels.h"
 
@@ -31,8 +30,7 @@ const KernelTable* NativeKernels() {
   // Avx2Kernels() is null when the compiler could not target AVX2 at
   // all; the cpuid check guards the machines where it could but the
   // hardware can't run it.
-  if (Avx2Kernels() != nullptr && __builtin_cpu_supports("avx2") &&
-      __builtin_cpu_supports("fma")) {
+  if (Avx2Kernels() != nullptr && __builtin_cpu_supports("avx2")) {
     return Avx2Kernels();
   }
   return nullptr;
@@ -53,21 +51,6 @@ const KernelTable& Active() {
 }
 
 const char* ActiveName() { return Active().name; }
-
-Status ForceMode(std::string_view mode) {
-  if (mode == "scalar") {
-    g_active.store(&ScalarKernels(), std::memory_order_release);
-    return Status::Ok();
-  }
-  if (mode == "native") {
-    const KernelTable* native = NativeKernels();
-    g_active.store(native != nullptr ? native : &ScalarKernels(),
-                   std::memory_order_release);
-    return Status::Ok();
-  }
-  return Status::InvalidArgument("unknown kernel mode '" + std::string(mode) +
-                                 "' (expected scalar|native)");
-}
 
 void ResetDispatchForTesting() {
   g_active.store(nullptr, std::memory_order_release);

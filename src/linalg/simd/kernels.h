@@ -3,16 +3,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
-
-#include "common/status.h"
 
 namespace colscope::linalg::simd {
 
 /// The span kernels behind every hot scoring path (Dot / Norm / Cosine /
 /// MSE / L2 over 768-dim signatures, and the column dots that decode a
 /// PCA code), dispatched once at startup to the
-/// best implementation the CPU offers (AVX2+FMA on x86-64, NEON on
+/// best implementation the CPU offers (AVX2 on x86-64, NEON on
 /// aarch64, portable scalar everywhere else).
 ///
 /// Determinism contract: every implementation of the double-precision
@@ -22,17 +19,15 @@ namespace colscope::linalg::simd {
 /// for j = 0..7 followed by ((f0+f4)+(f2+f6)) + ((f1+f5)+(f3+f7));
 /// `dot_columns` builds that tree once per column), so
 /// results are *bit-identical* across the scalar and native tables,
-/// across ISAs
-/// that honor it, and therefore across `--kernels` settings and thread
-/// counts. An implementation that cannot reproduce the tree exactly
-/// (e.g. an ISA whose only fast path contracts multiply-add) must fall
-/// back to the scalar kernels rather than ship different bits. The one
-/// deliberate exception is `dot_fast`, which may contract into FMAs and
-/// is only for callers that tolerate bounded-ulp drift (benchmarks,
-/// approximate prefilters); nothing on the default pipeline path uses
-/// it.
+/// across ISAs that honor it, and therefore with or without
+/// COLSCOPE_FORCE_SCALAR and at any thread count. An implementation
+/// that cannot reproduce the tree exactly (e.g. an ISA whose only fast
+/// path contracts multiply-add) must fall back to the scalar kernels
+/// rather than ship different bits. There is no exception: cosine
+/// similarity is `dot` over the two norms `sqrt(dot(x, x))`
+/// (linalg::CosineSimilarity), so it inherits the contract.
 ///
-/// The int8 kernels are exact integer arithmetic, so every
+/// The int8 kernel is exact integer arithmetic, so every
 /// implementation is bit-identical by construction.
 struct KernelTable {
   /// Implementation name: "scalar", "avx2", or "neon".
@@ -44,12 +39,6 @@ struct KernelTable {
   /// Sum of (a[i] - b[i])^2 over the canonical reduction tree.
   double (*squared_l2)(const double* a, const double* b, size_t n);
 
-  /// One-pass fused kernel filling *dot_ab = Σ a·b, *norm2_a = Σ a·a,
-  /// and *norm2_b = Σ b·b, each over the canonical reduction tree —
-  /// cosine similarity in a single streaming pass instead of three.
-  void (*cosine_terms)(const double* a, const double* b, size_t n,
-                       double* dot_ab, double* norm2_a, double* norm2_b);
-
   /// out[c] = Σ_t a[t] * b[t * d + c] for c in [0, d): the dot of
   /// a[0..k) with every column of the row-major k x d matrix `b`, each
   /// over the canonical reduction tree — bit-identical to `dot` on that
@@ -59,17 +48,8 @@ struct KernelTable {
   void (*dot_columns)(const double* a, const double* b, size_t k, size_t d,
                       double* out);
 
-  /// Like `dot` but free to contract multiply+add (FMA). NOT part of
-  /// the determinism contract: bits may differ from `dot` by a bounded
-  /// ulp count (tested in simd_kernels_test). The scalar table aliases
-  /// plain `dot`.
-  double (*dot_fast)(const double* a, const double* b, size_t n);
-
   /// Exact Σ a[i] * b[i] for int8 operands (quantized signatures).
   int64_t (*dot_i8)(const int8_t* a, const int8_t* b, size_t n);
-
-  /// Exact Σ (a[i] - b[i])^2 for int8 operands.
-  int64_t (*squared_l2_i8)(const int8_t* a, const int8_t* b, size_t n);
 };
 
 /// Number of independent accumulator lanes in the canonical reduction
@@ -90,24 +70,17 @@ const KernelTable& ScalarKernels();
 /// the build/host offers none (non-x86/ARM, or x86 without AVX2+FMA).
 const KernelTable* NativeKernels();
 
-/// The dispatched table. Resolution order, decided once on first use:
-///   1. a prior ForceMode() call wins;
-///   2. a non-empty COLSCOPE_FORCE_SCALAR environment variable forces
-///      the scalar table;
-///   3. otherwise NativeKernels() when available, else scalar.
+/// The dispatched table, decided once on first use: the scalar table
+/// when the COLSCOPE_FORCE_SCALAR environment variable is non-empty
+/// (the one way to pin the reference), otherwise NativeKernels() when
+/// available, else scalar.
 const KernelTable& Active();
 
 /// Name of the table Active() resolves to ("scalar" / "avx2" / "neon").
 const char* ActiveName();
 
-/// Explicit override (CLI `--kernels=scalar|native`). "native" on a
-/// machine with no native table gracefully keeps scalar. Returns
-/// InvalidArgument for any other mode string. May be called at any
-/// time; subsequent Active() calls see the new table.
-Status ForceMode(std::string_view mode);
-
-/// Drops any override and the cached dispatch decision so the next
-/// Active() re-reads COLSCOPE_FORCE_SCALAR. Test-only.
+/// Drops the cached dispatch decision so the next Active() re-reads
+/// COLSCOPE_FORCE_SCALAR. Test-only.
 void ResetDispatchForTesting();
 
 // Implementation hooks for dispatch.cc — each returns null when the

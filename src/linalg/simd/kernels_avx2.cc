@@ -1,5 +1,5 @@
-// AVX2 (+FMA for the opt-in fast path) span kernels. This translation
-// unit is the only one compiled with -mavx2 -mfma; its functions are
+// AVX2 span kernels. This translation
+// unit is the only one compiled with -mavx2; its functions are
 // only ever reached after dispatch.cc's runtime cpuid check, so the
 // binary still starts on plain x86-64.
 //
@@ -11,12 +11,11 @@
 // FMA contraction — that would change bits), tail handled by the same
 // scalar code as the reference, and the fixed lane combine.
 // dot_columns turns the layout around — one ymm per lane holding four
-// output columns — and builds the same tree per column. Only dot_fast
-// contracts into FMAs.
+// output columns — and builds the same tree per column.
 
 #include "linalg/simd/kernels.h"
 
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(__AVX2__)
 
 #include <immintrin.h>
 
@@ -101,56 +100,6 @@ double SquaredL2Avx2(const double* a, const double* b, size_t n) {
   return FinishTree(v0, v1, v2, v3, tail, rem);
 }
 
-void CosineTermsAvx2(const double* a, const double* b, size_t n,
-                     double* dot_ab, double* norm2_a, double* norm2_b) {
-  // 12 accumulators + 4 live loads press on the 16 ymm registers; GCC
-  // spills a little, but the one-pass structure (each element loaded
-  // once for all three sums) still wins over three separate passes.
-  __m256d ab0 = _mm256_setzero_pd(), ab1 = _mm256_setzero_pd();
-  __m256d ab2 = _mm256_setzero_pd(), ab3 = _mm256_setzero_pd();
-  __m256d aa0 = _mm256_setzero_pd(), aa1 = _mm256_setzero_pd();
-  __m256d aa2 = _mm256_setzero_pd(), aa3 = _mm256_setzero_pd();
-  __m256d bb0 = _mm256_setzero_pd(), bb1 = _mm256_setzero_pd();
-  __m256d bb2 = _mm256_setzero_pd(), bb3 = _mm256_setzero_pd();
-  const size_t body = n - n % kLanes;
-  for (size_t i = 0; i < body; i += kLanes) {
-    const __m256d x0 = _mm256_loadu_pd(a + i);
-    const __m256d y0 = _mm256_loadu_pd(b + i);
-    ab0 = _mm256_add_pd(ab0, _mm256_mul_pd(x0, y0));
-    aa0 = _mm256_add_pd(aa0, _mm256_mul_pd(x0, x0));
-    bb0 = _mm256_add_pd(bb0, _mm256_mul_pd(y0, y0));
-    const __m256d x1 = _mm256_loadu_pd(a + i + 4);
-    const __m256d y1 = _mm256_loadu_pd(b + i + 4);
-    ab1 = _mm256_add_pd(ab1, _mm256_mul_pd(x1, y1));
-    aa1 = _mm256_add_pd(aa1, _mm256_mul_pd(x1, x1));
-    bb1 = _mm256_add_pd(bb1, _mm256_mul_pd(y1, y1));
-    const __m256d x2 = _mm256_loadu_pd(a + i + 8);
-    const __m256d y2 = _mm256_loadu_pd(b + i + 8);
-    ab2 = _mm256_add_pd(ab2, _mm256_mul_pd(x2, y2));
-    aa2 = _mm256_add_pd(aa2, _mm256_mul_pd(x2, x2));
-    bb2 = _mm256_add_pd(bb2, _mm256_mul_pd(y2, y2));
-    const __m256d x3 = _mm256_loadu_pd(a + i + 12);
-    const __m256d y3 = _mm256_loadu_pd(b + i + 12);
-    ab3 = _mm256_add_pd(ab3, _mm256_mul_pd(x3, y3));
-    aa3 = _mm256_add_pd(aa3, _mm256_mul_pd(x3, x3));
-    bb3 = _mm256_add_pd(bb3, _mm256_mul_pd(y3, y3));
-  }
-  double tail_ab[kLanes] = {};
-  double tail_aa[kLanes] = {};
-  double tail_bb[kLanes] = {};
-  const size_t rem = n - body;
-  for (size_t t = 0; t < rem; ++t) {
-    const double x = a[body + t];
-    const double y = b[body + t];
-    tail_ab[t] = x * y;
-    tail_aa[t] = x * x;
-    tail_bb[t] = y * y;
-  }
-  *dot_ab = FinishTree(ab0, ab1, ab2, ab3, tail_ab, rem);
-  *norm2_a = FinishTree(aa0, aa1, aa2, aa3, tail_aa, rem);
-  *norm2_b = FinishTree(bb0, bb1, bb2, bb3, tail_bb, rem);
-}
-
 /// One canonical lane for 4·V adjacent columns: V ymm registers of
 /// four columns each.
 template <size_t V>
@@ -215,31 +164,6 @@ void DotColumnsAvx2(const double* a, const double* b, size_t k, size_t d,
   }
 }
 
-/// FMA dot: four contracted accumulators, 16 doubles per iteration.
-/// Off-contract by design — see KernelTable::dot_fast.
-double DotFastAvx2(const double* a, const double* b, size_t n) {
-  __m256d v0 = _mm256_setzero_pd(), v1 = _mm256_setzero_pd();
-  __m256d v2 = _mm256_setzero_pd(), v3 = _mm256_setzero_pd();
-  const size_t body = n - n % 16;
-  for (size_t i = 0; i < body; i += 16) {
-    v0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i), v0);
-    v1 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i + 4),
-                         _mm256_loadu_pd(b + i + 4), v1);
-    v2 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i + 8),
-                         _mm256_loadu_pd(b + i + 8), v2);
-    v3 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i + 12),
-                         _mm256_loadu_pd(b + i + 12), v3);
-  }
-  const __m256d s = _mm256_add_pd(_mm256_add_pd(v0, v1),
-                                  _mm256_add_pd(v2, v3));
-  const __m128d lo = _mm256_castpd256_pd128(s);
-  const __m128d hi = _mm256_extractf128_pd(s, 1);
-  const __m128d pair = _mm_add_pd(lo, hi);
-  double sum = _mm_cvtsd_f64(pair) + _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
-  for (size_t i = body; i < n; ++i) sum += a[i] * b[i];
-  return sum;
-}
-
 /// Exact horizontal sum of 8 int32 lanes into an int64. Lanes widen to
 /// int64 BEFORE any cross-lane addition — near-saturated accumulators
 /// (e.g. every element +-127) would overflow an epi32 pairwise add.
@@ -254,9 +178,8 @@ inline int64_t HorizontalSumI32(__m256i v) {
 }
 
 // Per-iteration an int32 accumulator lane grows by at most one
-// madd_epi16 pair: 2 * 127 * 127 for the dot, 2 * 254^2 for the
-// squared distance. Flushing every kI8Chunk elements keeps lanes far
-// below int32 range for any span length.
+// madd_epi16 pair, 2 * 127 * 127. Flushing every kI8Chunk elements
+// keeps lanes far below int32 range for any span length.
 constexpr size_t kI8Chunk = 1u << 18;
 
 int64_t DotI8Avx2(const int8_t* a, const int8_t* b, size_t n) {
@@ -291,52 +214,18 @@ int64_t DotI8Avx2(const int8_t* a, const int8_t* b, size_t n) {
   return total;
 }
 
-int64_t SquaredL2I8Avx2(const int8_t* a, const int8_t* b, size_t n) {
-  int64_t total = 0;
-  size_t start = 0;
-  while (start < n) {
-    const size_t len = n - start < kI8Chunk ? n - start : kI8Chunk;
-    const size_t body = len - len % 32;
-    __m256i acc0 = _mm256_setzero_si256();
-    __m256i acc1 = _mm256_setzero_si256();
-    for (size_t i = 0; i < body; i += 32) {
-      const __m256i va =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + start + i));
-      const __m256i vb =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + start + i));
-      const __m256i d_lo = _mm256_sub_epi16(
-          _mm256_cvtepi8_epi16(_mm256_castsi256_si128(va)),
-          _mm256_cvtepi8_epi16(_mm256_castsi256_si128(vb)));
-      const __m256i d_hi = _mm256_sub_epi16(
-          _mm256_cvtepi8_epi16(_mm256_extracti128_si256(va, 1)),
-          _mm256_cvtepi8_epi16(_mm256_extracti128_si256(vb, 1)));
-      acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(d_lo, d_lo));
-      acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(d_hi, d_hi));
-    }
-    total += HorizontalSumI32(acc0) + HorizontalSumI32(acc1);
-    for (size_t i = body; i < len; ++i) {
-      const int32_t d = static_cast<int32_t>(a[start + i]) -
-                        static_cast<int32_t>(b[start + i]);
-      total += d * d;
-    }
-    start += len;
-  }
-  return total;
-}
-
 }  // namespace
 
 const KernelTable* Avx2Kernels() {
   static const KernelTable table = {
-      "avx2",         DotAvx2,     SquaredL2Avx2, CosineTermsAvx2,
-      DotColumnsAvx2, DotFastAvx2, DotI8Avx2,     SquaredL2I8Avx2,
+      "avx2", DotAvx2, SquaredL2Avx2, DotColumnsAvx2, DotI8Avx2,
   };
   return &table;
 }
 
 }  // namespace colscope::linalg::simd
 
-#else  // !(__AVX2__ && __FMA__)
+#else  // !__AVX2__
 
 namespace colscope::linalg::simd {
 

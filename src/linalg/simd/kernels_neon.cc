@@ -76,59 +76,6 @@ double SquaredL2Neon(const double* a, const double* b, size_t n) {
   return FinishTree(q, tail, rem);
 }
 
-void CosineTermsNeon(const double* a, const double* b, size_t n,
-                     double* dot_ab, double* norm2_a, double* norm2_b) {
-  // Three trees in one pass; 24 live accumulators fit aarch64's 32
-  // vector registers.
-  float64x2_t ab[kVecs], aa[kVecs], bb[kVecs];
-  ZeroTree(ab);
-  ZeroTree(aa);
-  ZeroTree(bb);
-  const size_t body = n - n % kLanes;
-  for (size_t i = 0; i < body; i += kLanes) {
-    for (size_t v = 0; v < kVecs; ++v) {
-      const float64x2_t x = vld1q_f64(a + i + 2 * v);
-      const float64x2_t y = vld1q_f64(b + i + 2 * v);
-      ab[v] = vaddq_f64(ab[v], vmulq_f64(x, y));
-      aa[v] = vaddq_f64(aa[v], vmulq_f64(x, x));
-      bb[v] = vaddq_f64(bb[v], vmulq_f64(y, y));
-    }
-  }
-  double tail_ab[kLanes] = {};
-  double tail_aa[kLanes] = {};
-  double tail_bb[kLanes] = {};
-  const size_t rem = n - body;
-  for (size_t t = 0; t < rem; ++t) {
-    const double x = a[body + t];
-    const double y = b[body + t];
-    tail_ab[t] = x * y;
-    tail_aa[t] = x * x;
-    tail_bb[t] = y * y;
-  }
-  *dot_ab = FinishTree(ab, tail_ab, rem);
-  *norm2_a = FinishTree(aa, tail_aa, rem);
-  *norm2_b = FinishTree(bb, tail_bb, rem);
-}
-
-/// FMA variant (vfmaq contracts by definition). Off-contract like the
-/// AVX2 dot_fast.
-double DotFastNeon(const double* a, const double* b, size_t n) {
-  float64x2_t q[kVecs];
-  ZeroTree(q);
-  const size_t body = n - n % kLanes;
-  for (size_t i = 0; i < body; i += kLanes) {
-    for (size_t v = 0; v < kVecs; ++v) {
-      q[v] = vfmaq_f64(q[v], vld1q_f64(a + i + 2 * v),
-                       vld1q_f64(b + i + 2 * v));
-    }
-  }
-  float64x2_t s = vaddq_f64(vaddq_f64(q[0], q[1]), vaddq_f64(q[2], q[3]));
-  s = vaddq_f64(s, vaddq_f64(vaddq_f64(q[4], q[5]), vaddq_f64(q[6], q[7])));
-  double sum = vaddvq_f64(s);
-  for (size_t i = body; i < n; ++i) sum += a[i] * b[i];
-  return sum;
-}
-
 int64_t DotI8Neon(const int8_t* a, const int8_t* b, size_t n) {
   int64_t total = 0;
   const size_t body = n - n % 16;
@@ -150,35 +97,13 @@ int64_t DotI8Neon(const int8_t* a, const int8_t* b, size_t n) {
   return total;
 }
 
-int64_t SquaredL2I8Neon(const int8_t* a, const int8_t* b, size_t n) {
-  int64_t total = 0;
-  const size_t body = n - n % 16;
-  int64x2_t acc = vdupq_n_s64(0);
-  for (size_t i = 0; i < body; i += 16) {
-    const int8x16_t va = vld1q_s8(a + i);
-    const int8x16_t vb = vld1q_s8(b + i);
-    const int16x8_t d_lo = vsubl_s8(vget_low_s8(va), vget_low_s8(vb));
-    const int16x8_t d_hi = vsubl_s8(vget_high_s8(va), vget_high_s8(vb));
-    const int32x4_t sq =
-        vaddq_s32(vpaddlq_s16(vmulq_s16(d_lo, d_lo)),
-                  vpaddlq_s16(vmulq_s16(d_hi, d_hi)));
-    acc = vaddq_s64(acc, vpaddlq_s32(sq));
-  }
-  total += vaddvq_s64(acc);
-  for (size_t i = body; i < n; ++i) {
-    const int32_t d = static_cast<int32_t>(a[i]) - static_cast<int32_t>(b[i]);
-    total += d * d;
-  }
-  return total;
-}
-
 }  // namespace
 
 const KernelTable* NeonKernels() {
   static const KernelTable table = {
-      "neon",      DotNeon,   SquaredL2Neon,   CosineTermsNeon,
+      "neon", DotNeon, SquaredL2Neon,
       ScalarKernels().dot_columns,  // See the note at the top.
-      DotFastNeon, DotI8Neon, SquaredL2I8Neon,
+      DotI8Neon,
   };
   return &table;
 }

@@ -54,33 +54,6 @@ double SquaredL2Scalar(const double* a, const double* b, size_t n) {
   return CombineLanes(acc);
 }
 
-void CosineTermsScalar(const double* a, const double* b, size_t n,
-                       double* dot_ab, double* norm2_a, double* norm2_b) {
-  double acc_ab[kLanes] = {};
-  double acc_aa[kLanes] = {};
-  double acc_bb[kLanes] = {};
-  const size_t body = n - n % kLanes;
-  for (size_t i = 0; i < body; i += kLanes) {
-    for (size_t j = 0; j < kLanes; ++j) {
-      const double x = a[i + j];
-      const double y = b[i + j];
-      acc_ab[j] += x * y;
-      acc_aa[j] += x * x;
-      acc_bb[j] += y * y;
-    }
-  }
-  for (size_t t = 0; t < n - body; ++t) {
-    const double x = a[body + t];
-    const double y = b[body + t];
-    acc_ab[t] += x * y;
-    acc_aa[t] += x * x;
-    acc_bb[t] += y * y;
-  }
-  *dot_ab = CombineLanes(acc_ab);
-  *norm2_a = CombineLanes(acc_aa);
-  *norm2_b = CombineLanes(acc_bb);
-}
-
 void DotColumnsScalar(const double* a, const double* b, size_t k, size_t d,
                       double* out) {
   const size_t body = k - k % kLanes;
@@ -107,22 +80,11 @@ int64_t DotI8Scalar(const int8_t* a, const int8_t* b, size_t n) {
   return sum;
 }
 
-int64_t SquaredL2I8Scalar(const int8_t* a, const int8_t* b, size_t n) {
-  int64_t sum = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const int32_t d = static_cast<int32_t>(a[i]) - static_cast<int32_t>(b[i]);
-    sum += d * d;
-  }
-  return sum;
-}
-
 }  // namespace
 
 const KernelTable& ScalarKernels() {
   static const KernelTable table = {
-      "scalar",          DotScalar,        SquaredL2Scalar,
-      CosineTermsScalar, DotColumnsScalar,
-      /*dot_fast=*/DotScalar, DotI8Scalar, SquaredL2I8Scalar,
+      "scalar", DotScalar, SquaredL2Scalar, DotColumnsScalar, DotI8Scalar,
   };
   return table;
 }

@@ -73,14 +73,12 @@ double L2Distance(std::span<const double> a, std::span<const double> b) {
 
 double CosineSimilarity(std::span<const double> a,
                         std::span<const double> b) {
-  COLSCOPE_CHECK(a.size() == b.size());
-  double dot_ab = 0.0, norm2_a = 0.0, norm2_b = 0.0;
-  simd::Active().cosine_terms(a.data(), b.data(), a.size(), &dot_ab, &norm2_a,
-                              &norm2_b);
-  const double na = std::sqrt(norm2_a);
-  const double nb = std::sqrt(norm2_b);
-  if (na == 0.0 || nb == 0.0) return 0.0;
-  return dot_ab / (na * nb);
+  return CosineFromDot(Dot(a, b), Norm(a), Norm(b));
+}
+
+double CosineFromDot(double dot, double norm_a, double norm_b) {
+  if (norm_a == 0.0 || norm_b == 0.0) return 0.0;
+  return dot / (norm_a * norm_b);
 }
 
 double MeanSquaredError(std::span<const double> a,

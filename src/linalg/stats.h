@@ -27,8 +27,15 @@ double L2Distance(std::span<const double> a, std::span<const double> b);
 double SquaredL2Distance(std::span<const double> a,
                          std::span<const double> b);
 
-/// Cosine similarity in [-1, 1]; zero vectors yield 0.
+/// Cosine similarity in [-1, 1]; zero vectors yield 0. Exactly
+/// CosineFromDot(Dot(a, b), Norm(a), Norm(b)).
 double CosineSimilarity(std::span<const double> a, std::span<const double> b);
+
+/// The cosine formula itself: dot / (norm_a * norm_b), or 0 when either
+/// norm is 0. A caller scoring one row against many computes each
+/// row's Norm once and passes it here with one Dot per pair, which
+/// gives CosineSimilarity's bits.
+double CosineFromDot(double dot, double norm_a, double norm_b);
 
 /// Mean squared error between two equally-sized vectors — the
 /// reconstruction score used throughout the paper (Alg. 1 line 14).

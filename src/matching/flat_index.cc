@@ -21,8 +21,7 @@ std::vector<size_t> RankNearest(const linalg::Matrix& vectors,
   if (store != nullptr && keep < candidates.size()) {
     const embed::QuantizedQuery q = store->Quantize(query);
     for (size_t id : candidates) {
-      ranked.emplace_back(
-          store->ApproxSquaredL2(id, q.codes.data(), q.scale, q.norm2), id);
+      ranked.emplace_back(store->ApproxSquaredL2(id, q), id);
     }
     const size_t pool_size = std::min(
         ranked.size(), keep * std::max<size_t>(rescore_factor, 1));

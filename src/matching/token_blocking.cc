@@ -1,6 +1,5 @@
 #include "matching/token_blocking.h"
 
-#include <cmath>
 #include <map>
 #include <memory>
 #include <string>
@@ -62,25 +61,32 @@ std::set<ElementPair> TokenBlockedSimMatcher::Match(
     store = std::make_unique<embed::QuantizedSignatureStore>(
         signatures.signatures);
   }
+  // Each candidate row's norm once; a pair then costs one Dot. The
+  // norms are also the prefilter's: linalg::Norm is sqrt of the same
+  // canonical dot the store keeps as RowNorm2.
+  std::vector<double> norms(signatures.size(), 0.0);
+  for (size_t r = 0; r < signatures.size(); ++r) {
+    if (active[r]) norms[r] = linalg::Norm(signatures.signatures.RowSpan(r));
+  }
   std::set<ElementPair> out;
   for (const auto& [i, j] : candidates) {
-    if (store != nullptr) {
-      const double ni = std::sqrt(store->RowNorm2(i));
-      const double nj = std::sqrt(store->RowNorm2(j));
-      if (ni > 0.0 && nj > 0.0) {
-        // approx_cos + bound/(|a||b|) >= exact cosine, so dropping below
-        // the threshold can never drop a true match. Zero-norm rows fall
-        // through to the (cheap) exact path rather than special-casing
-        // its sign conventions here.
-        const double inv = 1.0 / (ni * nj);
-        const double approx_cos = store->ApproxDot(i, j) * inv;
-        const double margin =
-            store->DotErrorBound(i, store->RowScale(j), store->RowL1(j)) * inv;
-        if (approx_cos + margin < threshold_) continue;
-      }
+    const double ni = norms[i];
+    const double nj = norms[j];
+    if (store != nullptr && ni > 0.0 && nj > 0.0) {
+      // approx_cos + bound/(|a||b|) >= exact cosine, so dropping below
+      // the threshold can never drop a true match. Zero-norm rows fall
+      // through to the (cheap) exact path rather than special-casing
+      // its sign conventions here.
+      const double inv = 1.0 / (ni * nj);
+      const double approx_cos = store->ApproxDot(i, j) * inv;
+      const double margin =
+          store->DotErrorBound(i, store->RowScale(j), store->RowL1(j)) * inv;
+      if (approx_cos + margin < threshold_) continue;
     }
-    const double sim = linalg::CosineSimilarity(
-        signatures.signatures.RowSpan(i), signatures.signatures.RowSpan(j));
+    const double sim = linalg::CosineFromDot(
+        linalg::Dot(signatures.signatures.RowSpan(i),
+                    signatures.signatures.RowSpan(j)),
+        ni, nj);
     if (sim >= threshold_) {
       out.insert(MakePair(signatures.refs[i], signatures.refs[j]));
     }

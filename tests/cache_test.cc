@@ -637,9 +637,13 @@ TEST_F(PipelineCacheTest, MalformedPayloadsAreMissesThatRecompute) {
     obs::MetricsRegistry metrics;
     const pipeline::PipelineRun warm =
         RunWith(scenario_.set, dir.path(), &metrics);
-    // The entries themselves are intact (18 cache hits); each rejected
-    // payload is recomputed and written back, and no run fails.
-    EXPECT_EQ(CounterValue(metrics, "cache.misses"), 0u) << c;
+    // The envelopes are intact, but a payload its decoder rejects is a
+    // corrupt miss, not a hit: 8 misses, and the 10 untouched keep and
+    // similarity-block entries hit. Each rejected payload is recomputed
+    // and written back, and no run fails.
+    EXPECT_EQ(CounterValue(metrics, "cache.misses"), rewritten) << c;
+    EXPECT_EQ(CounterValue(metrics, "cache.corrupt"), rewritten) << c;
+    EXPECT_EQ(CounterValue(metrics, "cache.hits"), 10u) << c;
     EXPECT_EQ(CounterValue(metrics, "cache.writes"), rewritten) << c;
     EXPECT_EQ(cold.signatures.signatures.data(),
               warm.signatures.signatures.data());

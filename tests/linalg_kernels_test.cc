@@ -10,12 +10,14 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <string>
 
 #include "common/rng.h"
 #include "linalg/matrix.h"
 #include "linalg/pca.h"
 #include "linalg/simd/kernels.h"
 #include "linalg/stats.h"
+#include "scoped_force_scalar.h"
 
 namespace colscope::linalg {
 namespace {
@@ -150,8 +152,9 @@ TEST(PcaRowErrorsTest, WideCodeAndColumnTailMatchComposedKernels) {
   ASSERT_TRUE(pca.ok());
   ASSERT_GE(pca->n_components(), 17u);
   ASSERT_NE(pca->dims() % 4, 0u);
-  for (const char* mode : {"scalar", "native"}) {
-    ASSERT_TRUE(simd::ForceMode(mode).ok());
+  for (const char* force : {"1", ""}) {
+    const simd::ScopedForceScalar pin(force);
+    const std::string mode = simd::ActiveName();
     const Vector reference = ComposedReconstructionErrors(*pca, x);
     EXPECT_EQ(pca->ReconstructionErrors(x), reference) << mode;
     const std::vector<size_t> listed = {12, 0, 5, 5};
@@ -161,7 +164,6 @@ TEST(PcaRowErrorsTest, WideCodeAndColumnTailMatchComposedKernels) {
       EXPECT_EQ(errors[i], reference[listed[i]]) << mode << " row " << i;
     }
   }
-  simd::ResetDispatchForTesting();
 }
 
 /// The Gram and covariance paths diagonalize different matrices, so

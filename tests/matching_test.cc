@@ -8,13 +8,16 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "datasets/oc3.h"
 #include "datasets/toy.h"
 #include "embed/hashed_encoder.h"
+#include "linalg/stats.h"
 #include "matching/cluster_matcher.h"
 #include "matching/flat_index.h"
 #include "matching/kmeans.h"
 #include "matching/lsh_matcher.h"
 #include "matching/sim.h"
+#include "matching/token_blocking.h"
 
 namespace colscope::matching {
 namespace {
@@ -252,6 +255,66 @@ TEST_F(MatchingFixture, SimComparisonCountMatchesCartesianSameKind) {
   // Attributes: 4*8 + 4*3 + 4*4 + 8*3 + 8*4 + 3*4 = 32+12+16+24+32+12=128.
   EXPECT_EQ(SimMatcher::ComparisonCount(signatures_, all_active_),
             9u + 128u);
+}
+
+TEST(SimDecisionTest, MatchPoolAndBlocksAgreeWithBruteForceCosine) {
+  // One decision on every sim path: serial Match, Match on a pool and
+  // the union of MatchBlock over every schema pair all equal a
+  // brute-force loop over IsCandidate + linalg::CosineSimilarity, here
+  // on OC3-FO with a partial mask and an all-zero signature row (whose
+  // cosine is 0 with everything, so threshold 0.0 links it).
+  const datasets::MatchingScenario scenario = datasets::BuildOc3FoScenario();
+  const embed::HashedLexiconEncoder encoder;
+  scoping::SignatureSet signatures =
+      scoping::BuildSignatures(scenario.set, encoder);
+  const size_t n = signatures.size();
+  ASSERT_GT(n, 8u);
+  std::vector<bool> active(n);
+  for (size_t i = 0; i < n; ++i) active[i] = i % 5 != 3;
+  const size_t zero_row = 4;
+  ASSERT_TRUE(active[zero_row]);
+  std::fill_n(signatures.signatures.RowPtr(zero_row),
+              signatures.signatures.cols(), 0.0);
+  const int num_schemas = static_cast<int>(scenario.set.num_schemas());
+  ThreadPool pool(4);
+  for (double threshold : {0.0, 0.6, 0.8}) {
+    std::set<ElementPair> brute;
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = i + 1; j < n; ++j) {
+        if (IsCandidate(signatures, active, i, j) &&
+            linalg::CosineSimilarity(signatures.signatures.RowSpan(i),
+                                     signatures.signatures.RowSpan(j)) >=
+                threshold) {
+          brute.insert(MakePair(signatures.refs[i], signatures.refs[j]));
+        }
+      }
+    }
+    ASSERT_FALSE(brute.empty()) << threshold;
+    const SimMatcher serial(threshold);
+    const SimMatcher pooled(threshold, &pool);
+    EXPECT_EQ(serial.Match(signatures, active), brute) << threshold;
+    EXPECT_EQ(pooled.Match(signatures, active), brute) << threshold;
+    std::set<ElementPair> blocks;
+    for (int a = 0; a < num_schemas; ++a) {
+      for (int b = a + 1; b < num_schemas; ++b) {
+        const std::set<ElementPair> block =
+            serial.MatchBlock(signatures, active, a, b);
+        blocks.insert(block.begin(), block.end());
+      }
+    }
+    EXPECT_EQ(blocks, brute) << threshold;
+    if (threshold == 0.0) {
+      EXPECT_TRUE(std::any_of(brute.begin(), brute.end(), [&](const auto& p) {
+        return p.first == signatures.refs[zero_row] ||
+               p.second == signatures.refs[zero_row];
+      })) << "the zero row links at threshold 0";
+    }
+    const TokenBlockedSimMatcher exact(threshold);
+    const TokenBlockedSimMatcher quantized(threshold, /*quantized=*/true);
+    EXPECT_EQ(quantized.Match(signatures, active),
+              exact.Match(signatures, active))
+        << threshold;
+  }
 }
 
 // --- CLUSTER ---------------------------------------------------------------------------

@@ -1,19 +1,17 @@
 // The SIMD dispatch contract, end to end: every double-precision kernel
 // of every compiled-in table is bit-identical to the scalar reference
 // (the canonical 16-lane reduction tree; dot_columns also to `dot` over
-// each gathered column), the int8 kernels are exact
-// integer arithmetic, ForceMode/COLSCOPE_FORCE_SCALAR steer dispatch,
-// dot_fast stays within its forward error bound, the quantized
-// signature store round-trips within its error bounds, and the
-// quantized prefilters never change what the exact matchers return.
+// each gathered column), the int8 dot is exact integer arithmetic,
+// COLSCOPE_FORCE_SCALAR steers dispatch, the quantized signature store
+// round-trips within its error bounds, and the quantized prefilters
+// never change what the exact matchers return.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -26,13 +24,14 @@
 #include "matching/flat_index.h"
 #include "matching/token_blocking.h"
 #include "scoping/signatures.h"
+#include "scoped_force_scalar.h"
 
 namespace colscope::linalg::simd {
 namespace {
 
 /// Lengths that straddle every boundary the kernels care about: empty,
-/// sub-lane tails, exact lane multiples, the AVX2 dot_fast 16-wide
-/// body, the int8 32-wide body, and signature-sized spans.
+/// sub-lane tails, exact lane multiples, the 16-lane tree body, the
+/// int8 32-wide body, and signature-sized spans.
 const size_t kLengths[] = {0,  1,  2,  3,  5,  7,  8,  9,  15, 16,  17,
                            31, 32, 33, 63, 64, 65, 96, 100, 255, 256,
                            257, 767, 768, 769};
@@ -73,12 +72,6 @@ TEST(SimdKernelsTest, DoubleKernelsBitIdenticalToScalarAcrossLengths) {
       EXPECT_EQ(table->squared_l2(a.data(), b.data(), n),
                 scalar.squared_l2(a.data(), b.data(), n))
           << table->name << " squared_l2 n=" << n;
-      double d1, na1, nb1, d2, na2, nb2;
-      table->cosine_terms(a.data(), b.data(), n, &d1, &na1, &nb1);
-      scalar.cosine_terms(a.data(), b.data(), n, &d2, &na2, &nb2);
-      EXPECT_EQ(d1, d2) << table->name << " cosine dot n=" << n;
-      EXPECT_EQ(na1, na2) << table->name << " cosine norm2_a n=" << n;
-      EXPECT_EQ(nb1, nb2) << table->name << " cosine norm2_b n=" << n;
     }
   }
 }
@@ -166,36 +159,17 @@ TEST(SimdKernelsTest, DotColumnsKeepsTheTreesPositiveZero) {
   }
 }
 
-TEST(SimdKernelsTest, CosineTermsMatchesThreeSeparateKernelCalls) {
-  for (const KernelTable* table : RunnableTables()) {
-    for (size_t n : {size_t{7}, size_t{64}, size_t{768}}) {
-      const auto a = RandomSpan(n, 71 + n);
-      const auto b = RandomSpan(n, 72 + n);
-      double d, na, nb;
-      table->cosine_terms(a.data(), b.data(), n, &d, &na, &nb);
-      EXPECT_EQ(d, table->dot(a.data(), b.data(), n)) << table->name;
-      EXPECT_EQ(na, table->dot(a.data(), a.data(), n)) << table->name;
-      EXPECT_EQ(nb, table->dot(b.data(), b.data(), n)) << table->name;
-    }
-  }
-}
-
 TEST(SimdKernelsTest, Int8KernelsExactAcrossLengths) {
   // Integer arithmetic has one right answer; every table must return it.
   for (const KernelTable* table : RunnableTables()) {
     for (size_t n : kLengths) {
       const auto a = RandomCodes(n, 300 + n);
       const auto b = RandomCodes(n, 400 + n);
-      int64_t dot = 0, l2 = 0;
+      int64_t dot = 0;
       for (size_t i = 0; i < n; ++i) {
         dot += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
-        const int32_t d =
-            static_cast<int32_t>(a[i]) - static_cast<int32_t>(b[i]);
-        l2 += d * d;
       }
       EXPECT_EQ(table->dot_i8(a.data(), b.data(), n), dot)
-          << table->name << " n=" << n;
-      EXPECT_EQ(table->squared_l2_i8(a.data(), b.data(), n), l2)
           << table->name << " n=" << n;
     }
   }
@@ -207,58 +181,19 @@ TEST(SimdKernelsTest, Int8KernelsSaturatedExtremesDoNotOverflow) {
   const size_t n = 1 << 20;
   std::vector<int8_t> lo(n, -127), hi(n, 127);
   const int64_t expect_dot = -127ll * 127ll * static_cast<int64_t>(n);
-  const int64_t expect_l2 = 254ll * 254ll * static_cast<int64_t>(n);
   for (const KernelTable* table : RunnableTables()) {
     EXPECT_EQ(table->dot_i8(lo.data(), hi.data(), n), expect_dot)
         << table->name;
-    EXPECT_EQ(table->squared_l2_i8(lo.data(), hi.data(), n), expect_l2)
-        << table->name;
   }
-}
-
-TEST(SimdKernelsTest, DotFastStaysWithinForwardErrorBoundOfDot) {
-  // dot_fast is off the determinism contract but must stay numerically
-  // honest: both the treewise dot and the FMA dot satisfy the standard
-  // forward error bound |computed - true| <= n*eps*sum|a[i]*b[i]|, so
-  // their difference is bounded by twice that. A raw ulp bound is the
-  // wrong gate here — when the true dot lands near zero (cancellation),
-  // the ulp distance blows up while the absolute error stays tiny.
-  for (const KernelTable* table : RunnableTables()) {
-    for (size_t n : {size_t{16}, size_t{100}, size_t{768}}) {
-      const auto a = RandomSpan(n, 500 + n);
-      const auto b = RandomSpan(n, 600 + n);
-      const double exact = table->dot(a.data(), b.data(), n);
-      const double fast = table->dot_fast(a.data(), b.data(), n);
-      double absdot = 0.0;
-      for (size_t i = 0; i < n; ++i) absdot += std::fabs(a[i] * b[i]);
-      const double bound = 2.0 * static_cast<double>(n) *
-                           std::numeric_limits<double>::epsilon() * absdot;
-      EXPECT_LE(std::fabs(exact - fast), bound) << table->name << " n=" << n;
-    }
-  }
-}
-
-TEST(SimdDispatchTest, ForceModeOverridesAndRejects) {
-  ASSERT_TRUE(ForceMode("scalar").ok());
-  EXPECT_STREQ(ActiveName(), "scalar");
-  ASSERT_TRUE(ForceMode("native").ok());
-  if (NativeKernels() != nullptr) {
-    EXPECT_STREQ(ActiveName(), NativeKernels()->name);
-  } else {
-    // "native" on a scalar-only host keeps scalar gracefully.
-    EXPECT_STREQ(ActiveName(), "scalar");
-  }
-  EXPECT_FALSE(ForceMode("avx512").ok());
-  EXPECT_FALSE(ForceMode("").ok());
-  ResetDispatchForTesting();
 }
 
 TEST(SimdDispatchTest, EnvVarForcesScalar) {
-  ResetDispatchForTesting();
-  ASSERT_EQ(setenv("COLSCOPE_FORCE_SCALAR", "1", 1), 0);
-  EXPECT_STREQ(ActiveName(), "scalar");
-  ASSERT_EQ(unsetenv("COLSCOPE_FORCE_SCALAR"), 0);
-  ResetDispatchForTesting();
+  for (const char* force : {"1", "0"}) {
+    // Any non-empty value pins the scalar reference.
+    const ScopedForceScalar pin(force);
+    EXPECT_STREQ(ActiveName(), "scalar") << "COLSCOPE_FORCE_SCALAR=" << force;
+  }
+  const ScopedForceScalar pin("");
   if (NativeKernels() != nullptr) {
     EXPECT_STREQ(ActiveName(), NativeKernels()->name);
   } else {
@@ -267,21 +202,23 @@ TEST(SimdDispatchTest, EnvVarForcesScalar) {
 }
 
 TEST(SimdDispatchTest, StatsEntryPointsIdenticalUnderBothModes) {
-  // The public linalg:: wrappers are what the pipeline calls; forcing
-  // the mode around them must never change a bit of their output.
+  // The public linalg:: wrappers are what the pipeline calls; pinning
+  // the table around them must never change a bit of their output.
   const auto a = RandomSpan(768, 9001);
   const auto b = RandomSpan(768, 9002);
-  ASSERT_TRUE(ForceMode("native").ok());
-  const double dot_native = linalg::Dot(a, b);
-  const double l2_native = linalg::SquaredL2Distance(a, b);
-  const double cos_native = linalg::CosineSimilarity(a, b);
-  const double mse_native = linalg::MeanSquaredError(a, b);
-  ASSERT_TRUE(ForceMode("scalar").ok());
+  double dot_native, l2_native, cos_native, mse_native;
+  {
+    const ScopedForceScalar pin("");
+    dot_native = linalg::Dot(a, b);
+    l2_native = linalg::SquaredL2Distance(a, b);
+    cos_native = linalg::CosineSimilarity(a, b);
+    mse_native = linalg::MeanSquaredError(a, b);
+  }
+  const ScopedForceScalar pin("1");
   EXPECT_EQ(linalg::Dot(a, b), dot_native);
   EXPECT_EQ(linalg::SquaredL2Distance(a, b), l2_native);
   EXPECT_EQ(linalg::CosineSimilarity(a, b), cos_native);
   EXPECT_EQ(linalg::MeanSquaredError(a, b), mse_native);
-  ResetDispatchForTesting();
 }
 
 linalg::Matrix RandomMatrix(size_t rows, size_t cols, uint64_t seed) {
@@ -328,7 +265,6 @@ TEST(QuantizedStoreTest, ApproxDotWithinDocumentedBound) {
   // small by up to sqrt(cols)) fails here — keep this sweep large.
   const auto m = RandomMatrix(64, 768, 33);
   const embed::QuantizedSignatureStore store(m);
-  std::vector<int8_t> qcodes;
   for (size_t r = 0; r < store.rows(); ++r) {
     for (size_t s = 0; s < store.rows(); ++s) {
       const double exact = linalg::Dot(m.RowSpan(r), m.RowSpan(s));
@@ -340,14 +276,15 @@ TEST(QuantizedStoreTest, ApproxDotWithinDocumentedBound) {
     }
   }
   // The query path quantizes identically to the build path.
-  double qnorm2 = 0.0;
-  double ql1 = 0.0;
-  const double qscale =
-      store.QuantizeQuery(m.RowSpan(0), &qcodes, &qnorm2, &ql1);
-  EXPECT_EQ(qscale, store.RowScale(0));
-  EXPECT_EQ(qnorm2, store.RowNorm2(0));
-  EXPECT_EQ(ql1, store.RowL1(0));
-  EXPECT_EQ(store.ApproxDot(1, qcodes.data(), qscale), store.ApproxDot(1, 0));
+  const embed::QuantizedQuery q = store.Quantize(m.RowSpan(0));
+  ASSERT_EQ(q.codes.size(), store.stride());
+  EXPECT_TRUE(std::equal(q.codes.begin(), q.codes.end(), store.RowCodes(0)));
+  EXPECT_EQ(q.scale, store.RowScale(0));
+  EXPECT_EQ(q.norm2, store.RowNorm2(0));
+  EXPECT_EQ(q.l1, store.RowL1(0));
+  EXPECT_EQ(store.ApproxDot(1, q), store.ApproxDot(1, 0));
+  EXPECT_EQ(store.ApproxSquaredL2(1, q),
+            store.RowNorm2(1) + q.norm2 - 2.0 * store.ApproxDot(1, 0));
 }
 
 TEST(QuantizedStoreTest, ZeroRowsQuantizeToZeroAndStayFinite) {
@@ -356,12 +293,12 @@ TEST(QuantizedStoreTest, ZeroRowsQuantizeToZeroAndStayFinite) {
   const embed::QuantizedSignatureStore store(m);
   EXPECT_EQ(store.RowScale(0), 0.0);
   EXPECT_EQ(store.ApproxDot(0, 1), 0.0);
-  std::vector<int8_t> qcodes;
-  double qnorm2 = 0.0;
-  const double qscale = store.QuantizeQuery(m.RowSpan(0), &qcodes, &qnorm2);
-  EXPECT_EQ(qscale, 0.0);
-  EXPECT_EQ(qnorm2, 0.0);
-  EXPECT_EQ(store.ApproxCosine(1, qcodes.data(), qscale, qnorm2), 0.0);
+  const embed::QuantizedQuery q = store.Quantize(m.RowSpan(0));
+  EXPECT_EQ(q.scale, 0.0);
+  EXPECT_EQ(q.norm2, 0.0);
+  EXPECT_EQ(q.l1, 0.0);
+  EXPECT_EQ(store.ApproxDot(1, q), 0.0);
+  EXPECT_EQ(store.ApproxSquaredL2(1, q), store.RowNorm2(1));
 }
 
 TEST(QuantizedFlatIndexTest, PerfectRecallOnSignatureCorpus) {

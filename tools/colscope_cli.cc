@@ -50,7 +50,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "exchange/exchange.h"
-#include "linalg/simd/kernels.h"
 #include "linalg/stats.h"
 #include "matching/matcher.h"
 #include "net/coordinator.h"
@@ -94,7 +93,6 @@ struct CliArgs {
   uint64_t cache_max_bytes = 0;  // --cache-max-bytes N (0 = unbounded)
   std::string crash_after;      // --crash-after PHASE (test hook)
   size_t threads = 1;           // --threads N (1 = serial, 0 = hardware)
-  std::string kernels;          // --kernels scalar|native ("" = auto)
   // gen-corpus knobs (docs/SCALING.md).
   uint64_t seed = 0xC0905;      // --seed N
   size_t corpus_schemas = 6;    // --schemas K
@@ -147,10 +145,10 @@ int Usage() {
                "      streamline|match|evaluate)\n"
                "  [--threads N]  (1 = serial, 0 = hardware concurrency; "
                "output is identical at any N)\n"
-               "  [--kernels scalar|native]  (span-kernel dispatch; output "
-               "is identical either way)\n"
                "  [--quantized]  (int8 prefilter for lsh/tbsim candidate "
                "generation)\n"
+               "  env COLSCOPE_FORCE_SCALAR=1 pins the scalar span kernels "
+               "(output is identical either way)\n"
                "\n"
                "synthetic corpus generation (docs/SCALING.md):\n"
                "  colscope gen-corpus --out DIR [--seed N] [--schemas K]\n"
@@ -341,10 +339,6 @@ bool ParseArgs(int argc, char** argv, CliArgs& args) {
       const char* value = next();
       if (value == nullptr) return false;
       args.serve_delay_ms = std::atof(value);
-    } else if (flag == "--kernels") {
-      const char* value = next();
-      if (value == nullptr) return false;
-      args.kernels = value;
     } else if (flag == "--quantized") {
       args.matcher.quantized = true;
     } else if (flag == "--nprobe") {
@@ -1177,13 +1171,6 @@ int RunPipeline(const CliArgs& args) {
 int main(int argc, char** argv) {
   CliArgs args;
   if (!ParseArgs(argc, argv, args)) return Usage();
-  if (!args.kernels.empty()) {
-    const Status forced = linalg::simd::ForceMode(args.kernels);
-    if (!forced.ok()) {
-      std::fprintf(stderr, "--kernels: %s\n", forced.ToString().c_str());
-      return 2;
-    }
-  }
   if (!args.log_level.empty()) {
     Result<obs::LogLevel> level = obs::ParseLogLevel(args.log_level);
     if (!level.ok()) {

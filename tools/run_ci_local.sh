@@ -101,8 +101,9 @@ else
 fi
 
 # Job 5: kernel dispatch matrix. The equivalence battery must pass with
-# whatever SIMD table the runtime dispatcher picked AND with the
-# COLSCOPE_FORCE_SCALAR escape hatch pinning the scalar reference.
+# whatever SIMD table the runtime dispatcher picked AND with
+# COLSCOPE_FORCE_SCALAR=1, the one switch that pins the scalar
+# reference.
 note "kernels-matrix"
 kernels_build="build-ci-kernels"
 # shellcheck disable=SC2086  # launcher_flags is intentionally split
