@@ -17,7 +17,7 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr char kCacheVersion[] = "colscope-cache v1";
+constexpr char kCacheVersion[] = "colscope-cache v2";
 constexpr char kVersionFile[] = "CACHE_VERSION";
 constexpr char kEntryHeader[] = "colscope-cache-entry v1";
 constexpr char kObjectsDir[] = "objects";
@@ -63,7 +63,7 @@ CacheKeyBuilder::CacheKeyBuilder(std::string_view kind) : text_(kind) {}
 CacheKeyBuilder& CacheKeyBuilder::AddHex(std::string_view name,
                                          uint64_t fingerprint) {
   text_ += StrFormat("|%.*s=%s", static_cast<int>(name.size()), name.data(),
-                     Fnv1a64Hex(fingerprint).c_str());
+                     Checksum64Hex(fingerprint).c_str());
   return *this;
 }
 
@@ -75,7 +75,7 @@ CacheKeyBuilder& CacheKeyBuilder::AddText(std::string_view name,
 }
 
 CacheKey CacheKeyBuilder::Build() const {
-  return CacheKey{text_, Fnv1a64(text_)};
+  return CacheKey{text_, Checksum64(text_)};
 }
 
 ArtifactCache::ArtifactCache(ArtifactCacheOptions options)
@@ -138,7 +138,7 @@ Result<ArtifactCache> ArtifactCache::Open(ArtifactCacheOptions options) {
 }
 
 std::string ArtifactCache::PathFor(const CacheKey& key) const {
-  const std::string hex = Fnv1a64Hex(key.hash);
+  const std::string hex = Checksum64Hex(key.hash);
   return options_.dir + "/" + kObjectsDir + "/" + hex.substr(0, 2) + "/" +
          hex + kEntrySuffix;
 }
@@ -221,7 +221,7 @@ Result<std::string> ArtifactCache::Get(const CacheKey& key,
                           rest.size(),
                           static_cast<unsigned long long>(declared_bytes)));
   }
-  if (Fnv1a64(rest) != declared_sum) {
+  if (Checksum64(rest) != declared_sum) {
     return miss("cache.corrupt", "payload checksum mismatch");
   }
   // Integrity holds but the stored key differs: a 64-bit fingerprint
@@ -260,7 +260,7 @@ Status ArtifactCache::Put(const CacheKey& key, std::string_view payload) {
   envelope += '\n';
   envelope += StrFormat("bytes %zu\n", payload.size());
   envelope += StrFormat("checksum %s\n",
-                        Fnv1a64Hex(Fnv1a64(payload)).c_str());
+                        Checksum64Hex(Checksum64(payload)).c_str());
   envelope += payload;
 
   std::lock_guard<std::mutex> lock(*mu_);

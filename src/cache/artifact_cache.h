@@ -16,9 +16,10 @@ namespace colscope::cache {
 
 /// A content-addressed cache key: the canonical single-line key text
 /// (kind plus every component that identifies the artifact) and its
-/// FNV-1a 64 hash, which names the on-disk object. The full text is
-/// stored inside each entry and verified on every read, so a 64-bit hash
-/// collision degrades to a miss — never to serving the wrong artifact.
+/// Checksum64 (XXH64, common/checksum.h), which names the on-disk
+/// object. The full text is stored inside each entry and verified on
+/// every read, so a 64-bit hash collision degrades to a miss — never to
+/// serving the wrong artifact.
 struct CacheKey {
   std::string text;
   uint64_t hash = 0;
@@ -65,14 +66,15 @@ struct ArtifactCacheOptions {
 ///
 /// On-disk layout (versioned — an unrecognized version refuses to open
 /// rather than misreading foreign files):
-///   <dir>/CACHE_VERSION            "colscope-cache v1"
+///   <dir>/CACHE_VERSION            "colscope-cache v2" (v1 directories,
+///                                  checksummed with FNV-1a, are refused)
 ///   <dir>/objects/<hh>/<16hex>.art one entry per key, sharded by the
 ///                                  first hash byte (git-style)
 /// Each entry is a five-line envelope followed by the payload verbatim:
 ///   colscope-cache-entry v1
 ///   key <canonical key text>
 ///   bytes <payload byte count>
-///   checksum <16 hex digits, FNV-1a 64 of the payload>
+///   checksum <16 hex digits, Checksum64 (XXH64) of the payload>
 ///   <payload>
 /// Writes go to a sibling temp file followed by an atomic rename, so a
 /// crash mid-write can never leave a torn entry under a live name.

@@ -43,13 +43,14 @@ std::string SimPairLine(const schema::ElementRef& a,
 }
 
 uint64_t HashDoubles(std::span<const double> values, uint64_t h) {
-  return Fnv1a64(std::string_view(reinterpret_cast<const char*>(values.data()),
-                                  values.size_bytes()),
-                 h);
+  return Checksum64(
+      std::string_view(reinterpret_cast<const char*>(values.data()),
+                       values.size_bytes()),
+      h);
 }
 
 uint64_t HashU64(uint64_t value, uint64_t h) {
-  return Fnv1a64(
+  return Checksum64(
       std::string_view(reinterpret_cast<const char*>(&value), sizeof(value)),
       h);
 }
@@ -179,7 +180,7 @@ std::optional<std::set<matching::ElementPair>> DecodeSimBlock(
 }
 
 uint64_t ModelSetFingerprint(const std::vector<scoping::LocalModel>& models) {
-  uint64_t h = Fnv1a64(kModelSetDomain);
+  uint64_t h = Checksum64(kModelSetDomain);
   for (const scoping::LocalModel& model : models) {
     const linalg::PcaModel& pca = model.pca();
     const double range = model.linkability_range();

@@ -69,10 +69,11 @@ std::string EncodeSimBlock(const std::set<matching::ElementPair>& pairs,
 std::optional<std::set<matching::ElementPair>> DecodeSimBlock(
     std::string_view payload, int schema_a, int schema_b);
 
-/// Position-dependent fingerprint of a fitted model set, chained FNV-1a
-/// over each model's raw bytes (schema index, dims, component count,
-/// range, mean, components). Any change to any bit of any model, or a
-/// reorder, changes it, so every cached keep slice keyed by it refreshes.
+/// Position-dependent fingerprint of a fitted model set: Checksum64
+/// (XXH64) chained through the seed over each model's raw bytes (schema
+/// index, dims, component count, range, mean, components). Any change
+/// to any bit of any model, or a reorder, changes it, so every cached
+/// keep slice keyed by it refreshes.
 uint64_t ModelSetFingerprint(const std::vector<scoping::LocalModel>& models);
 
 }  // namespace colscope::cache

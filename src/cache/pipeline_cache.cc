@@ -26,7 +26,7 @@ uint64_t KeepBitsFingerprint(const std::vector<bool>& active,
   std::string bits;
   bits.reserve(rows.size());
   for (size_t row : rows) bits.push_back(active[row] ? '1' : '0');
-  return Fnv1a64(bits, Fnv1a64(kKeepBitsDomain));
+  return Checksum64(bits, Checksum64(kKeepBitsDomain));
 }
 
 }  // namespace
@@ -40,8 +40,8 @@ PipelineCache::PipelineCache(ArtifactCache* cache,
       encoder_(encoder),
       set_(&set),
       semantic_options_fp_(semantic_options_fp) {
-  base_fp_ = Fnv1a64(encoder_->CacheIdentity(), Fnv1a64(kBaseDomain));
-  base_fp_ = Fnv1a64(
+  base_fp_ = Checksum64(encoder_->CacheIdentity(), Checksum64(kBaseDomain));
+  base_fp_ = Checksum64(
       StrFormat("samples=%d,max=%zu",
                 serialize_options.include_instance_samples ? 1 : 0,
                 serialize_options.max_samples),

@@ -11,24 +11,35 @@
 
 namespace colscope::embed {
 
-HashedLexiconEncoder::HashedLexiconEncoder(HashedEncoderOptions options)
-    : options_(options), lexicon_(text::DefaultSchemaLexicon()) {}
+namespace {
 
-HashedLexiconEncoder::HashedLexiconEncoder(HashedEncoderOptions options,
-                                           text::Lexicon lexicon)
-    : options_(options), lexicon_(std::move(lexicon)) {}
-
-std::string HashedLexiconEncoder::CacheIdentity() const {
+std::string IdentityOf(const HashedEncoderOptions& options,
+                       const text::Lexicon& lexicon) {
   // %.17g keeps the rendering bijective with the double values, so two
   // configs differing in any weight cannot share a cache identity.
   return StrFormat(
       "hashed-lexicon:dims=%zu,concept=%.17g,category=%.17g,trigram=%.17g,"
       "leading=%.17g,common=%.17g,idio=%.17g,seed=%llu,lexicon=%llx",
-      options_.dims, options_.concept_weight, options_.category_weight,
-      options_.trigram_weight, options_.leading_token_weight,
-      options_.common_weight, options_.idiosyncrasy_weight,
-      static_cast<unsigned long long>(options_.seed),
-      static_cast<unsigned long long>(lexicon_.Fingerprint()));
+      options.dims, options.concept_weight, options.category_weight,
+      options.trigram_weight, options.leading_token_weight,
+      options.common_weight, options.idiosyncrasy_weight,
+      static_cast<unsigned long long>(options.seed),
+      static_cast<unsigned long long>(lexicon.Fingerprint()));
+}
+
+}  // namespace
+
+HashedLexiconEncoder::HashedLexiconEncoder(HashedEncoderOptions options)
+    : HashedLexiconEncoder(options, text::DefaultSchemaLexicon()) {}
+
+HashedLexiconEncoder::HashedLexiconEncoder(HashedEncoderOptions options,
+                                           text::Lexicon lexicon)
+    : options_(options),
+      lexicon_(std::move(lexicon)),
+      cache_identity_(IdentityOf(options_, lexicon_)) {}
+
+std::string HashedLexiconEncoder::CacheIdentity() const {
+  return cache_identity_;
 }
 
 const linalg::Vector& HashedLexiconEncoder::BasisVector(

@@ -60,8 +60,11 @@ class HashedLexiconEncoder : public SentenceEncoder {
 
   linalg::Vector Encode(std::string_view text) const override;
   size_t dims() const override { return options_.dims; }
-  /// Covers every option that changes an embedding (weights, seed, dims)
-  /// so cached signatures are invalidated by any encoder retuning.
+  /// Covers every option that changes an embedding (weights, seed, dims,
+  /// lexicon) so cached signatures are invalidated by any encoder
+  /// retuning. Rendered once at construction: the options and lexicon
+  /// never change afterwards, and a warm request should not re-sort and
+  /// re-hash the lexicon.
   std::string CacheIdentity() const override;
 
   const HashedEncoderOptions& options() const { return options_; }
@@ -72,6 +75,7 @@ class HashedLexiconEncoder : public SentenceEncoder {
 
   HashedEncoderOptions options_;
   text::Lexicon lexicon_;
+  std::string cache_identity_;
   mutable std::shared_mutex mu_;
   mutable std::unordered_map<std::string, linalg::Vector> basis_cache_;
 };

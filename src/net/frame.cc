@@ -1,6 +1,5 @@
 #include "net/frame.h"
 
-#include "common/checksum.h"
 #include "common/strings.h"
 
 namespace colscope::net {
@@ -86,6 +85,15 @@ const char* FrameTypeToString(FrameType type) {
   return "unknown";
 }
 
+uint64_t FrameChecksum(std::string_view payload) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (char c : payload) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
 std::string EncodeFrame(FrameType type, std::string_view payload) {
   std::string out;
   out.reserve(kFrameHeaderSize + payload.size());
@@ -94,7 +102,7 @@ std::string EncodeFrame(FrameType type, std::string_view payload) {
   out.push_back(static_cast<char>(type));
   out.push_back('\0');  // flags, reserved
   PutU32(out, static_cast<uint32_t>(payload.size()));
-  PutU64(out, Fnv1a64(payload));
+  PutU64(out, FrameChecksum(payload));
   out.append(payload);
   return out;
 }
@@ -155,7 +163,7 @@ Result<Frame> DecodeFrame(std::string_view bytes) {
         "%zu bytes of trailing garbage after the frame payload",
         body.size() - header->payload_len));
   }
-  if (Fnv1a64(body) != header->checksum) {
+  if (FrameChecksum(body) != header->checksum) {
     return Status::InvalidArgument("frame payload checksum mismatch");
   }
   Frame frame;

@@ -52,7 +52,7 @@ inline constexpr uint16_t kFrameVersion = 2;
 inline constexpr uint16_t kMinFrameVersion = 1;
 
 /// Fixed frame header size in bytes: magic(4) + version(2) + type(1) +
-/// flags(1) + payload_len(4) + fnv1a64(payload)(8).
+/// flags(1) + payload_len(4) + FrameChecksum(payload)(8).
 inline constexpr size_t kFrameHeaderSize = 20;
 
 /// Hard cap on one frame's payload. Anything larger is rejected from the
@@ -77,9 +77,15 @@ struct FrameHeader {
   uint64_t checksum = 0;
 };
 
+/// The frame payload checksum: FNV-1a 64 with the standard offset
+/// basis. Part of the wire format since version 1, so it stays FNV-1a
+/// (v1 and v2 peers verify each other's frames); the artifact cache
+/// uses common/checksum.h instead.
+uint64_t FrameChecksum(std::string_view payload);
+
 /// Encodes `payload` into a wire frame: header (little-endian fixed
-/// layout, FNV-1a 64 checksum of the payload) followed by the payload
-/// bytes. Byte-deterministic for identical inputs.
+/// layout, FrameChecksum of the payload) followed by the payload bytes.
+/// Byte-deterministic for identical inputs.
 std::string EncodeFrame(FrameType type, std::string_view payload);
 
 /// Parses and validates exactly kFrameHeaderSize header bytes: magic,

@@ -14,7 +14,6 @@
 #include <cstring>
 #include <utility>
 
-#include "common/checksum.h"
 #include "common/parse.h"
 #include "common/strings.h"
 #include "obs/metrics.h"
@@ -313,7 +312,7 @@ Result<Frame> Socket::RecvFrame(const NetOptions& options) {
     Count(options.metrics, "net.frames_rejected");
     return body;
   }
-  if (Fnv1a64(frame.payload) != parsed->checksum) {
+  if (FrameChecksum(frame.payload) != parsed->checksum) {
     Count(options.metrics, "net.frames_rejected");
     return Status::InvalidArgument("frame payload checksum mismatch");
   }

@@ -310,7 +310,7 @@ Result<PipelineRun> Pipeline::Run(const schema::SchemaSet& set,
   }
   if (active_cache != nullptr) {
     memo.emplace(active_cache, encoder_, set,
-                 Fnv1a64(SemanticOptionsString(options_)));
+                 Checksum64(SemanticOptionsString(options_)));
   }
 
   /// A phase artifact from the cache when `use_cache`, else computed. An

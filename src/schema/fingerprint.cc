@@ -14,17 +14,17 @@ constexpr char kSchemaDomain[] = "colscope-schema-fingerprint v1";
 }  // namespace
 
 uint64_t ElementFingerprint(const SerializedElement& element) {
-  return Fnv1a64(element.text, Fnv1a64(kElementDomain));
+  return Checksum64(element.text, Checksum64(kElementDomain));
 }
 
 uint64_t SerializedElementsFingerprint(
     const std::vector<SerializedElement>& elements) {
-  uint64_t h = Fnv1a64(kSchemaDomain);
+  uint64_t h = Checksum64(kSchemaDomain);
   for (const SerializedElement& element : elements) {
     // Chain the text plus a separator so ["AB","C"] and ["A","BC"]
     // cannot collide.
-    h = Fnv1a64(element.text, h);
-    h = Fnv1a64("\x1f", h);
+    h = Checksum64(element.text, h);
+    h = Checksum64("\x1f", h);
   }
   return h;
 }

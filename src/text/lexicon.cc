@@ -55,15 +55,15 @@ uint64_t Lexicon::Fingerprint() const {
   for (const auto& [token, sense] : senses_) keys.push_back(&token);
   std::sort(keys.begin(), keys.end(),
             [](const std::string* a, const std::string* b) { return *a < *b; });
-  uint64_t h = Fnv1a64("colscope-lexicon-fingerprint v1");
+  uint64_t h = Checksum64("colscope-lexicon-fingerprint v1");
   for (const std::string* key : keys) {
     const TokenSense& sense = senses_.at(*key);
-    h = Fnv1a64(*key, h);
-    h = Fnv1a64("\x1f", h);
-    h = Fnv1a64(sense.concept_name, h);
-    h = Fnv1a64("\x1f", h);
-    h = Fnv1a64(sense.category, h);
-    h = Fnv1a64("\x1e", h);
+    h = Checksum64(*key, h);
+    h = Checksum64("\x1f", h);
+    h = Checksum64(sense.concept_name, h);
+    h = Checksum64("\x1f", h);
+    h = Checksum64(sense.category, h);
+    h = Checksum64("\x1e", h);
   }
   return h;
 }

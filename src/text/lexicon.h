@@ -45,10 +45,11 @@ class Lexicon {
 
   size_t size() const { return senses_.size(); }
 
-  /// Order-independent stable content fingerprint (FNV-1a over the
-  /// sorted token->sense entries). Mixed into encoder cache identities
-  /// so an edited dictionary invalidates cached signatures; identical
-  /// dictionaries built in any registration order fingerprint the same.
+  /// Order-independent stable content fingerprint (Checksum64 chained
+  /// over the sorted token->sense entries). Mixed into encoder cache
+  /// identities so an edited dictionary invalidates cached signatures;
+  /// identical dictionaries built in any registration order fingerprint
+  /// the same.
   uint64_t Fingerprint() const;
 
  private:

@@ -28,9 +28,11 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "pipeline/pipeline.h"
+#include "pipeline/report.h"
 #include "schema/fingerprint.h"
 #include "scoping/model_io.h"
 #include "scoping/signature_io.h"
+#include "mutation_pass.h"
 
 namespace colscope::cache {
 namespace {
@@ -51,6 +53,17 @@ class ScratchDir {
  private:
   std::string path_;
 };
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
 
 ArtifactCache OpenOrDie(ArtifactCacheOptions options) {
   Result<ArtifactCache> cache = ArtifactCache::Open(std::move(options));
@@ -80,7 +93,7 @@ TEST(CacheKeyBuilderTest, KeyTextIsCanonicalAndHashMatches) {
                            .AddText("ev", "0.8")
                            .Build();
   EXPECT_EQ(key.text, "sig|src=00000000deadbeef|ev=0.8");
-  EXPECT_EQ(key.hash, Fnv1a64(key.text));
+  EXPECT_EQ(key.hash, Checksum64(key.text));
 }
 
 TEST(ArtifactCacheTest, RoundTripsPayloadBytes) {
@@ -121,12 +134,22 @@ TEST(ArtifactCacheTest, ReopenSeesPersistedEntries) {
 }
 
 TEST(ArtifactCacheTest, IncompatibleVersionStampRefusesToOpen) {
-  ScratchDir dir("version");
-  std::filesystem::create_directories(dir.path());
-  std::ofstream(dir.path() + "/CACHE_VERSION") << "colscope-cache v999\n";
-  Result<ArtifactCache> cache = ArtifactCache::Open(MakeOptions(dir.path()));
-  ASSERT_FALSE(cache.ok());
-  EXPECT_EQ(cache.status().code(), StatusCode::kFailedPrecondition);
+  // A future stamp, and v1, whose envelopes and object names were
+  // FNV-1a and mean nothing to this build: refused, and left as they
+  // were.
+  for (const std::string stamp : {"colscope-cache v999", "colscope-cache v1"}) {
+    ScratchDir dir("version");
+    std::filesystem::create_directories(dir.path());
+    WriteFile(dir.path() + "/CACHE_VERSION", stamp + "\n");
+    Result<ArtifactCache> cache =
+        ArtifactCache::Open(MakeOptions(dir.path()));
+    ASSERT_FALSE(cache.ok()) << stamp;
+    EXPECT_EQ(cache.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(cache.status().message().find("'" + stamp + "'"),
+              std::string::npos)
+        << cache.status().ToString();
+    EXPECT_EQ(ReadFile(dir.path() + "/CACHE_VERSION"), stamp + "\n");
+  }
 }
 
 TEST(ArtifactCacheTest, CorruptedEntryFallsThroughToMiss) {
@@ -301,6 +324,41 @@ TEST_F(PipelineCacheTest, WarmRunHitsEverythingAndMatchesColdBitForBit) {
   EXPECT_EQ(cold.linkages, warm.linkages);
 }
 
+TEST_F(PipelineCacheTest, PreviousFormatDirectoryWarnsAndRunsUncached) {
+  ScratchDir dir("pipeline_v1");
+  std::filesystem::create_directories(dir.path());
+  WriteFile(dir.path() + "/CACHE_VERSION", "colscope-cache v1\n");
+
+  obs::InMemorySink sink;
+  const obs::LogLevel saved_level = obs::Logger::Global().level();
+  obs::Logger::Global().set_level(obs::LogLevel::kWarn);
+  obs::Logger::Global().set_stderr_fallback(false);
+  obs::Logger::Global().AddSink(&sink);
+  const pipeline::PipelineRun stale =
+      RunWith(scenario_.set, dir.path(), nullptr);
+  obs::Logger::Global().RemoveSink(&sink);
+  obs::Logger::Global().set_stderr_fallback(true);
+  obs::Logger::Global().set_level(saved_level);
+
+  const pipeline::PipelineRun uncached = RunWith(scenario_.set, "", nullptr);
+  EXPECT_EQ(pipeline::RunToJson(stale, scenario_.set),
+            pipeline::RunToJson(uncached, scenario_.set));
+  size_t warnings = 0;
+  for (const std::string& line : sink.lines()) {
+    if (line.find("artifact cache disabled") != std::string::npos &&
+        line.find("colscope-cache v1") != std::string::npos) {
+      ++warnings;
+    }
+  }
+  EXPECT_EQ(warnings, 1u);
+  // Nothing was written into the old directory.
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir.path())) {
+    EXPECT_NE(entry.path().extension(), ".art") << entry.path();
+  }
+  EXPECT_EQ(ReadFile(dir.path() + "/CACHE_VERSION"), "colscope-cache v1\n");
+}
+
 TEST_F(PipelineCacheTest, EditingOneSourceRecomputesOnlyItsArtifacts) {
   ScratchDir dir("pipeline_delta");
   // Two sources so artifact counts are exact: 2 signature blocks,
@@ -395,17 +453,6 @@ TEST_F(PipelineCacheTest, RestoredWideModelsMatchAColdFitByteForByte) {
 
 
 // ---- Raw-double payloads (cache/payloads.h). ----
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-void WriteFile(const std::string& path, const std::string& bytes) {
-  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
-}
 
 bool SameBits(double a, double b) {
   return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
@@ -626,7 +673,7 @@ TEST_F(PipelineCacheTest, MalformedPayloadsAreMissesThatRecompute) {
       const std::string text =
           contents.substr(key_at, contents.find('\n', key_at) - key_at);
       if (!StartsWith(text, "sig|") && !StartsWith(text, "model|")) continue;
-      const CacheKey key{text, Fnv1a64(text)};
+      const CacheKey key{text, Checksum64(text)};
       Result<std::string> payload = cache.Get(key);
       ASSERT_TRUE(payload.ok());
       ASSERT_TRUE(cache.Put(key, corruptions[c](*payload)).ok());
@@ -658,75 +705,6 @@ TEST_F(PipelineCacheTest, MalformedPayloadsAreMissesThatRecompute) {
 }
 
 // ---- Seeded mutation pass over the cache decoders. ----
-
-/// One seeded mutation of `bytes`: a bit flip, a truncation, a one-byte
-/// insertion, or an edit of a header field (a digit before `header_end`
-/// replaced, duplicated or dropped).
-std::string Mutate(const std::string& bytes, size_t header_end, Rng& rng) {
-  std::string out = bytes;
-  switch (rng.NextBounded(4)) {
-    case 0:
-      out[rng.NextBounded(out.size())] ^=
-          static_cast<char>(1u << rng.NextBounded(8));
-      break;
-    case 1:
-      out.resize(rng.NextBounded(out.size()));
-      break;
-    case 2:
-      out.insert(out.begin() + static_cast<std::ptrdiff_t>(
-                                   rng.NextBounded(out.size() + 1)),
-                 static_cast<char>(rng.NextBounded(256)));
-      break;
-    default: {
-      std::vector<size_t> digits;
-      for (size_t i = 0; i < header_end; ++i) {
-        if (out[i] >= '0' && out[i] <= '9') digits.push_back(i);
-      }
-      if (digits.empty()) break;
-      const size_t at = digits[rng.NextBounded(digits.size())];
-      switch (rng.NextBounded(3)) {
-        case 0:
-          out[at] = static_cast<char>('0' + rng.NextBounded(10));
-          break;
-        case 1:
-          out.insert(at, 1, rng.NextBounded(2) == 0 ? '0' : out[at]);
-          break;
-        default:
-          out.erase(at, 1);
-      }
-    }
-  }
-  return out;
-}
-
-/// Feeds `rounds` mutations of `valid` to `decode_and_reencode`, which
-/// returns nullopt when its decoder rejects the input and the value's
-/// re-encoding otherwise: every accepted input must re-encode to itself.
-/// Returns how many inputs the decoder accepted.
-size_t MutationPass(
-    const std::string& name, const std::string& valid, size_t header_end,
-    int rounds, uint64_t seed,
-    const std::function<std::optional<std::string>(const std::string&)>&
-        decode_and_reencode) {
-  Rng rng(seed);
-  size_t accepted = 0;
-  size_t mismatches = 0;
-  std::optional<int> first_mismatch;
-  for (int round = 0; round < rounds; ++round) {
-    const std::string mutated = Mutate(valid, header_end, rng);
-    const std::optional<std::string> reencoded = decode_and_reencode(mutated);
-    if (!reencoded) continue;
-    ++accepted;
-    if (*reencoded != mutated) {
-      ++mismatches;
-      if (!first_mismatch) first_mismatch = round;
-    }
-  }
-  EXPECT_EQ(mismatches, 0u) << name << ": an accepted mutation did not "
-                            << "re-encode to itself (first at round "
-                            << first_mismatch.value_or(-1) << ")";
-  return accepted;
-}
 
 /// Silences the per-entry "unusable; recomputing" warnings of a pass
 /// that corrupts entries by the thousand.

@@ -7,14 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/checksum.h"
 #include "net/frame.h"
 #include "net/protocol.h"
 #include "net/telemetry.h"
 #include "obs/metrics.h"
+#include "mutation_pass.h"
 
 namespace colscope::net {
 namespace {
@@ -507,6 +508,71 @@ TEST(TelemetryTest, StatsRejectsMalformedPayloads) {
   for (size_t cut = 0; cut < wire.size(); cut += 3) {
     EXPECT_FALSE(DecodeStats(wire.substr(0, cut)).ok()) << cut;
   }
+}
+
+// --- Seeded mutation pass over frame decoding --------------------------------
+
+/// Decodes `wire` and, when it is accepted, re-encodes the frame at the
+/// version its header declared: an accepted frame must be exactly the
+/// bytes some peer's EncodeFrame would have sent.
+std::optional<std::string> DecodeAndReencodeFrame(const std::string& wire) {
+  Result<Frame> frame = DecodeFrame(wire);
+  if (!frame.ok()) return std::nullopt;
+  Result<FrameHeader> header =
+      ParseFrameHeader(std::string_view(wire).substr(0, kFrameHeaderSize));
+  EXPECT_TRUE(header.ok()) << "DecodeFrame accepted a header it rejects";
+  if (!header.ok()) return std::nullopt;
+  std::string out = EncodeFrame(frame->type, frame->payload);
+  out[4] = static_cast<char>(header->version & 0xff);
+  out[5] = static_cast<char>(header->version >> 8);
+  return out;
+}
+
+void RunFrameMutationPass(int rounds, uint64_t seed) {
+  const std::string text = "colscope-local-model v1\nmean 3 1 2 3\n";
+  std::string binary;
+  for (int i = 0; i < 64; ++i) binary.push_back(static_cast<char>(i * 37));
+  std::string v1 = EncodeFrame(FrameType::kModel, text);
+  v1[4] = static_cast<char>(kMinFrameVersion);
+  v1[5] = '\0';
+  const struct {
+    const char* name;
+    std::string payload;
+    std::string wire;
+  } frames[] = {
+      {"text", text, EncodeFrame(FrameType::kModel, text)},
+      {"binary", binary, EncodeFrame(FrameType::kAssess, binary)},
+      {"empty", "", EncodeFrame(FrameType::kStatsRequest, "")},
+      {"v1", text, v1},
+  };
+  for (size_t f = 0; f < std::size(frames); ++f) {
+    // Header-field edits target the digits of the whole frame: the
+    // binary header has none, the text payload's are under the checksum.
+    // One mutation can change the type byte into another known type, but
+    // never the payload: the length and the checksum both cover it.
+    MutationPass(frames[f].name, frames[f].wire, frames[f].wire.size(),
+                 rounds, seed + f,
+                 [&](const std::string& wire) -> std::optional<std::string> {
+                   std::optional<std::string> out =
+                       DecodeAndReencodeFrame(wire);
+                   if (out) {
+                     EXPECT_EQ(out->substr(kFrameHeaderSize),
+                               frames[f].payload)
+                         << frames[f].name;
+                   }
+                   return out;
+                 });
+  }
+}
+
+TEST(FrameMutationTest, SeededShortPass) {
+  RunFrameMutationPass(/*rounds=*/400, /*seed=*/0xf4a3e);
+}
+
+// The long pass runs in the ASan/UBSan lane (tools/run_sanitized_tests.sh
+// passes --gtest_also_run_disabled_tests); tier-1 runs the short one.
+TEST(FrameMutationTest, DISABLED_SeededLongPass) {
+  RunFrameMutationPass(/*rounds=*/20000, /*seed=*/0x5eedf4a3e);
 }
 
 }  // namespace

@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/fault_injector.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
@@ -474,19 +475,14 @@ bool WriteTextFile(const std::string& path, const std::string& text) {
 }
 
 /// Run-level trace id shared by every process of a distributed run:
-/// FNV-1a of the fault seed's decimal rendering, masked to 63 bits so
+/// Checksum64 of the fault seed's decimal rendering, masked to 63 bits so
 /// span args survive the JSON long-long round trip, forced nonzero
 /// (0 means "untraced"). Same seed -> same id, so repeat runs produce
 /// byte-identical merged traces.
 uint64_t DeriveTraceId(uint64_t seed) {
   const std::string key = StrFormat(
       "colscope-run-%llu", static_cast<unsigned long long>(seed));
-  uint64_t hash = 1469598103934665603ull;
-  for (char c : key) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  hash &= (1ull << 63) - 1;
+  const uint64_t hash = Checksum64(key) & ((1ull << 63) - 1);
   return hash == 0 ? 1 : hash;
 }
 

@@ -7,8 +7,9 @@
 #      disk — plus the SIMD/int8 kernel equivalence battery (unaligned
 #      loads, padded quantized stores — exactly what ASan is for) and
 #      the linalg kernel tests, whose PCA row body reads the components
-#      through the strided column-dot kernel; then the long seeded
-#      mutation pass over the cache decoders;
+#      through the strided column-dot kernel, the wire-frame codec and
+#      the checksum; then the long seeded mutation passes over the cache
+#      decoders and the frame decoder;
 #   2. TSan over the concurrency-facing tests (thread pool, metrics
 #      registry, cancellation tokens, and the shared serving loop that
 #      the distributed worker and colscoped drive from many connection
@@ -19,7 +20,7 @@ set -e
 root="$(cd "$(dirname "$0")/.." && pwd)"
 build="${1:-$root/build-sanitized}"
 
-asan_tests='exchange_test|model_corruption_test|model_io_test|robustness_test|simd_kernels_test|linalg_kernels_test|cache_test|pipeline_test'
+asan_tests='exchange_test|model_corruption_test|model_io_test|robustness_test|simd_kernels_test|linalg_kernels_test|cache_test|pipeline_test|net_frame_test|common_test'
 tsan_tests='thread_pool_test|obs_test|cancellation_test|parallel_paths_test|server_test|tcp_transport_test'
 
 # Compile through ccache when it is installed (the CI jobs restore a
@@ -35,12 +36,15 @@ cmake -B "$build" -S "$root" $launcher_flags \
   -DCOLSCOPE_ASAN=ON -DCOLSCOPE_UBSAN=ON
 cmake --build "$build" -j \
   --target exchange_test model_corruption_test model_io_test robustness_test \
-  simd_kernels_test linalg_kernels_test cache_test pipeline_test
+  simd_kernels_test linalg_kernels_test cache_test pipeline_test \
+  net_frame_test common_test
 (cd "$build" && ctest --output-on-failure -R "^($asan_tests)\$")
-# The long seeded mutation pass over the cache decoders (tier-1 runs the
-# short one).
+# The long seeded mutation passes over the cache decoders and the frame
+# decoder (tier-1 runs the short ones).
 "$build/tests/cache_test" --gtest_also_run_disabled_tests \
   --gtest_filter='PayloadMutationTest.*'
+"$build/tests/net_frame_test" --gtest_also_run_disabled_tests \
+  --gtest_filter='FrameMutationTest.*'
 
 # shellcheck disable=SC2086
 cmake -B "$build-tsan" -S "$root" $launcher_flags \
